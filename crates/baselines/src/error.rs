@@ -52,7 +52,8 @@ impl From<symla_sched::EngineError> for OocError {
             symla_sched::EngineError::Memory(m) => OocError::Memory(m),
             symla_sched::EngineError::Matrix(m) => OocError::Matrix(m),
             symla_sched::EngineError::InvalidSchedule(msg)
-            | symla_sched::EngineError::InvalidArgument(msg) => OocError::Invalid(msg),
+            | symla_sched::EngineError::InvalidArgument(msg)
+            | symla_sched::EngineError::WorkerPanicked(msg) => OocError::Invalid(msg),
         }
     }
 }

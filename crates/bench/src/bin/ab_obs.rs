@@ -1,6 +1,6 @@
 //! A/B gate for the observability layer: observation must be *faithful*
 //! (an observed replay is bitwise the unobserved replay), *consistent*
-//! (the executed trace prices out exactly like the static walker and the
+//! (the executed trace prices out exactly like the symbolic replay and the
 //! [`RunReport`](symla_obs::RunReport) counters equal the engine's
 //! [`IoStats`] field for field) and *free when disabled* (replaying through
 //! a [`NullObserver`] is indistinguishable from no instrumentation).
@@ -11,9 +11,10 @@
 //!    [`InstrumentedMachine`] feeding a [`TraceRecorder`], asserting
 //!    bitwise-identical slow-memory results and equal [`IoStats`];
 //! 2. exports the executed trace on the **modelled** timebase and asserts it
-//!    is **byte-equal** to the export of [`modelled_run_trace`], the static
-//!    schedule walker — the timeline a trace viewer shows is exactly the
-//!    deterministic wall-clock model, independent of host noise;
+//!    is **byte-equal** to the export of [`modelled_run_trace`], the same
+//!    replay over a data-less machine — the timeline a trace viewer shows
+//!    is exactly the deterministic wall-clock model, independent of host
+//!    noise;
 //! 3. records the observed run's [`IoStats`] into a [`MetricsRegistry`] and
 //!    asserts every exported counter equals the corresponding stats field;
 //! 4. validates every Chrome-trace export with the crate's own JSON parser.

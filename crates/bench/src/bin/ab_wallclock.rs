@@ -5,8 +5,8 @@
 //!
 //! For each (algorithm, instance, lookahead) the binary
 //!
-//! 1. prices the schedule statically with [`modelled_time`] under the NVMe
-//!    [`MachineModel`] — the deterministic wall-clock prediction;
+//! 1. prices the schedule without executing it with [`modelled_time`] under
+//!    the NVMe [`MachineModel`] — the deterministic wall-clock prediction;
 //! 2. executes the schedule for real inside a [`LatencyMachine`] and asserts
 //!    the measured model time is **bitwise equal** to the prediction, the
 //!    slow-memory results are bitwise identical to the lookahead-0 run, and

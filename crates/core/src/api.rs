@@ -748,12 +748,12 @@ pub fn gemm_out_of_core_prefetched<T: Scalar>(
 
 /// Wall-clock view of one out-of-core run under a [`MachineModel`]: the
 /// time a [`LatencyMachine`] accumulated while the schedule really executed
-/// (`measured`) next to the purely static prediction of
-/// [`modelled_time`] (`modelled`).
+/// (`measured`) next to the prediction of [`modelled_time`] (`modelled`),
+/// which replays the schedule on a data-less machine.
 ///
-/// The two walk the same events in the same order and must agree **bitwise**
-/// — [`WallClock::consistent`] is the cheap self-check the benchmarks gate
-/// on. `measured` is still *modelled* nanoseconds (the machine is simulated);
+/// The two are the same replay through the same clock and must agree
+/// **bitwise** — [`WallClock::consistent`] is the cheap self-check the
+/// benchmarks gate on. `measured` is still *modelled* nanoseconds (the machine is simulated);
 /// real elapsed time is the benchmark harness's job.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {

@@ -5,7 +5,8 @@
 //! [`crate::tbs_tiled`], [`crate::lbc`] and the five baselines of
 //! `symla_baselines` — are *schedule builders*: they emit the IR of
 //! [`symla_sched::ir`] instead of driving the machine directly. The
-//! [`Engine`] replays a built [`Schedule`] in one of five modes:
+//! [`Engine`] replays a built [`Schedule`] through one replay loop; the
+//! machine it drives decides what the replay means:
 //!
 //! * **execute** — [`Engine::execute`] runs the schedule against any
 //!   [`symla_memory::MachineOps`] machine (normally the serial
@@ -18,15 +19,17 @@
 //!   worker has a private capacity-checked fast memory counting its own
 //!   [`symla_memory::IoStats`]. `symla_core::parallel` builds on this for
 //!   the parallel SYRK extension.
-//! * **dry-run** — [`Engine::dry_run`] replays only the accounting and
-//!   returns the exact [`symla_memory::IoStats`] an execution would produce
-//!   (loads, stores, events, flops, peak residency, per-phase split) without
-//!   touching data. Dry runs agree element-for-element with the analytic
-//!   `*_cost` models, which the equivalence tests assert.
-//! * **trace** — [`Engine::trace`] synthesizes the
-//!   [`symla_memory::Trace`] event stream for schedule inspection and bound
-//!   verification, again without executing kernels.
-//! * **execute-prefetch** — every mode above also exists in a prefetching
+//! * **dry-run** — [`Engine::dry_run`] replays the schedule against a
+//!   data-less [`symla_memory::SymbolicMachine`] and returns its
+//!   [`symla_memory::IoStats`]: exactly what an execution produces (loads,
+//!   stores, events, flops, peak residency, per-phase split), since both
+//!   machines count through the same ledger, without touching data. Dry
+//!   runs agree element-for-element with the analytic `*_cost` models,
+//!   which the equivalence tests assert.
+//! * **trace** — [`Engine::trace`] reads the [`symla_memory::Trace`] of the
+//!   same symbolic replay, for schedule inspection and bound verification,
+//!   again without executing kernels.
+//! * **execute-prefetch** — every replay above also exists in a prefetching
 //!   variant ([`Engine::execute_with`], [`Engine::dry_run_with`],
 //!   [`Engine::trace_with`], [`Engine::execute_parallel_with`]) taking an
 //!   [`EngineConfig`]: with `lookahead = L > 0` the engine double-buffers

@@ -1,26 +1,25 @@
-//! The modelled timeline a trace stamps its events against.
+//! The modelled timeline: the one implementation of the window arithmetic.
 //!
-//! [`ModelClock`] replays the *arithmetic* of
-//! [`LatencyMachine`](symla_memory::LatencyMachine) — per-window demand /
-//! prefetch / compute accumulators settled into a
-//! [`TimeStats`] at group boundaries — and additionally exposes a
-//! **position** on that timeline: [`ModelClock::now_ns`], the window's start
-//! plus `demand + max(prefetch, compute)` accumulated so far. The position
-//! is monotone (accumulators only grow within a window, and settling
-//! advances the window start by exactly the window's contribution), so
-//! per-worker event stamps are monotone by construction.
+//! [`ModelClock`] keeps per-window demand / prefetch / compute accumulators
+//! that settle into a [`TimeStats`] at group boundaries (the bucket model of
+//! [`crate::model`]), and exposes a **position** on that timeline:
+//! [`ModelClock::now_ns`], the window's start plus
+//! `demand + max(prefetch, compute)` accumulated so far. The position is
+//! monotone (accumulators only grow within a window, and settling advances
+//! the window start by exactly the window's contribution), so per-worker
+//! event stamps are monotone by construction.
 //!
-//! The accumulation *order of floating-point operations* deliberately
-//! mirrors `LatencyMachine` — a prefetched load is charged to the demand
-//! side first and then moved (`demand -= cost; prefetch += cost`) — so a
-//! clock driven by a real replay and a clock driven by a machine-less walk
-//! of the same schedule produce bitwise-identical stamps and
-//! [`TimeStats`].
+//! Both pricing decorators charge through it:
+//! [`LatencyMachine`](crate::LatencyMachine) accumulates a replay's
+//! [`TimeStats`], and `symla_obs::InstrumentedMachine` stamps events on the
+//! modelled timeline. A prefetched load is charged to the demand side first
+//! and then moved (`demand -= cost; prefetch += cost`), because the replayer
+//! announces it as prefetched only after the load returns.
 
-use symla_memory::{MachineModel, TimeStats};
+use crate::model::{MachineModel, TimeStats};
 
-/// A per-worker position on the modelled timeline, windowed like
-/// [`LatencyMachine`](symla_memory::LatencyMachine).
+/// A per-worker position on the modelled timeline, windowed like the
+/// bucket model of [`TimeStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelClock {
     window_start: f64,
@@ -65,18 +64,24 @@ impl ModelClock {
 
     /// Moves the most recent load from the demand lane to the overlapped
     /// (prefetch) lane — the clock analogue of
-    /// [`MachineOps::note_prefetch`](symla_memory::MachineOps::note_prefetch).
+    /// [`MachineOps::note_prefetch`](crate::MachineOps::note_prefetch).
     pub fn reclassify_last_load(&mut self) {
         self.demand -= self.last_load;
         self.prefetch += self.last_load;
         self.last_load = 0.0;
     }
 
+    /// The current window's contribution to the timeline so far:
+    /// `demand + max(prefetch, compute)`.
+    pub fn window_ns(&self) -> f64 {
+        self.demand + self.prefetch.max(self.compute)
+    }
+
     /// Settles the current window at a group boundary: the position jumps
     /// to the window's end and the window is accounted into
     /// [`ModelClock::time`].
     pub fn settle(&mut self) {
-        self.window_start += self.demand + self.prefetch.max(self.compute);
+        self.window_start += self.window_ns();
         self.settled
             .add_window(self.demand, self.prefetch, self.compute);
         self.demand = 0.0;
@@ -86,9 +91,7 @@ impl ModelClock {
     }
 
     /// The accumulated [`TimeStats`], including the not-yet-settled window
-    /// (meaningful both mid-replay and after the final boundary) — exactly
-    /// what a [`LatencyMachine`](symla_memory::LatencyMachine) would report
-    /// for the same event sequence.
+    /// (meaningful both mid-replay and after the final boundary).
     pub fn time(&self) -> TimeStats {
         let mut t = self.settled;
         t.add_window(self.demand, self.prefetch, self.compute);

@@ -5,8 +5,8 @@
 //! packed lower for symmetric) is written to one temporary file, and every
 //! [`FileSlowMemory::load`] / [`FileSlowMemory::store`] performs real
 //! `seek`/`read`/`write` syscalls against it. The accounting — element-exact
-//! I/O counting, capacity checks, leases, traces — is the shared
-//! [`Ledger`](crate::machine), so `IoStats` from a file-backed run are
+//! I/O counting, capacity checks, leases, traces — is the shared ledger and
+//! lease table of [`crate::machine`], so `IoStats` from a file-backed run are
 //! directly comparable (and, for the same schedule, identical) to the
 //! simulated machine's.
 //!
@@ -23,7 +23,7 @@
 
 use crate::error::{MemoryError, Result};
 use crate::level::Level;
-use crate::machine::{next_machine_tag, FastBuf, Ledger, MachineConfig, MachineOps, MatrixId};
+use crate::machine::{FastBuf, Leases, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
 use crate::trace::Trace;
@@ -113,6 +113,7 @@ pub struct FileSlowMemory<T: Scalar> {
     /// Next free element offset in the file.
     next_offset: u64,
     ledger: Ledger,
+    leases: Leases,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -121,13 +122,13 @@ impl<T: Scalar> FileSlowMemory<T> {
     /// backing file is created in the system temp directory and removed on
     /// drop.
     pub fn new(config: MachineConfig) -> Result<Self> {
-        // The ledger mints its own tag; reserve one more for a
-        // process-unique file name even if two machines share a temp dir.
-        let file_tag = next_machine_tag();
+        // The ledger's tag is process-unique, so it names the file even if
+        // two machines share a temp dir.
+        let ledger = Ledger::new(config);
         let path = std::env::temp_dir().join(format!(
             "symla-slow-{}-{}.bin",
             std::process::id(),
-            file_tag
+            ledger.tag()
         ));
         let file = OpenOptions::new()
             .read(true)
@@ -141,7 +142,8 @@ impl<T: Scalar> FileSlowMemory<T> {
             metas: BTreeMap::new(),
             next_id: 0,
             next_offset: 0,
-            ledger: Ledger::new(config),
+            ledger,
+            leases: Leases::default(),
             _marker: PhantomData,
         })
     }
@@ -191,7 +193,7 @@ impl<T: Scalar> FileSlowMemory<T> {
         self.next_id += 1;
         self.metas.insert(id, FileMatrixMeta { kind, offset });
         self.next_offset += storage.len() as u64;
-        self.ledger.register(id);
+        self.leases.register(id);
         Ok(MatrixId(id))
     }
 
@@ -333,12 +335,16 @@ impl<T: Scalar> FileSlowMemory<T> {
     /// Loads a region of a matrix into fast memory — a real file read —
     /// charging its element count as load traffic and checking the capacity.
     pub fn load(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
-        let elements = region.len();
-        self.ledger.check_capacity(elements)?;
+        self.load_at(id, region, Level::SLOW)
+    }
+
+    fn load_at(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
+        self.ledger.check_capacity(region.len())?;
         let meta = self.meta(id)?;
         self.validate_region(&meta, &region)?;
         let data = self.gather(&meta, &region)?;
-        self.ledger.admit_load(id, &region);
+        self.ledger.admit_load(id, &region, level);
+        self.leases.take(id);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
 
@@ -349,7 +355,8 @@ impl<T: Scalar> FileSlowMemory<T> {
         self.ledger.check_capacity(elements)?;
         let meta = self.meta(id)?;
         self.validate_region(&meta, &region)?;
-        self.ledger.admit_alloc(id, elements);
+        self.ledger.admit_alloc(elements);
+        self.leases.take(id);
         Ok(FastBuf::from_parts(
             vec![T::ZERO; elements],
             id,
@@ -361,25 +368,31 @@ impl<T: Scalar> FileSlowMemory<T> {
     /// Writes a buffer back to the file (charging store traffic) and releases
     /// its fast-memory space.
     pub fn store(&mut self, buf: FastBuf<T>) -> Result<()> {
+        self.store_at(buf, Level::SLOW)
+    }
+
+    fn store_at(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
         let meta = self.meta(buf.matrix_id())?;
         self.validate_region(&meta, buf.region())?;
         self.scatter(&meta, buf.region(), buf.as_slice())?;
-        self.ledger.release(buf.matrix_id().raw(), buf.len());
-        self.ledger.note_store(buf.matrix_id(), buf.region());
+        self.ledger.release(buf.len());
+        self.leases.release(buf.matrix_id());
+        self.ledger.note_store(buf.matrix_id(), buf.region(), level);
         Ok(())
     }
 
     /// Releases a buffer without writing it back (no store traffic).
     pub fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
-        self.ledger.release(buf.matrix_id().raw(), buf.len());
+        self.ledger.release(buf.len());
+        self.leases.release(buf.matrix_id());
         Ok(())
     }
 
     /// Records arithmetic work performed by the schedule.
     pub fn record_flops(&mut self, flops: FlopCount) {
-        self.ledger.record_flops(flops);
+        self.ledger.stats_mut().record_flops(flops);
     }
 
     /// The accumulated statistics.
@@ -395,7 +408,7 @@ impl<T: Scalar> FileSlowMemory<T> {
     /// Reads a dense matrix out of the file and deregisters it (fails if any
     /// lease is outstanding or the matrix is not dense).
     pub fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>> {
-        self.ledger.check_takeable(id.0)?;
+        self.leases.check_takeable(id.0)?;
         let meta = self.meta(id)?;
         let FileKind::Dense { rows, cols } = meta.kind else {
             return Err(MemoryError::RegionKindMismatch {
@@ -410,7 +423,7 @@ impl<T: Scalar> FileSlowMemory<T> {
 
     /// Reads a symmetric matrix out of the file and deregisters it.
     pub fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>> {
-        self.ledger.check_takeable(id.0)?;
+        self.leases.check_takeable(id.0)?;
         let meta = self.meta(id)?;
         let FileKind::Symmetric { order } = meta.kind else {
             return Err(MemoryError::RegionKindMismatch {
@@ -464,24 +477,15 @@ impl<T: Scalar> MachineOps<T> for FileSlowMemory<T> {
     }
 
     fn note_prefetch(&mut self, elements: usize) {
-        self.ledger.note_prefetch(elements);
+        self.ledger.stats_mut().note_prefetch(elements);
     }
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
-        let buf = FileSlowMemory::load(self, id, region)?;
-        if !level.is_default() {
-            self.ledger.note_level_load(level.raw(), buf.len());
-        }
-        Ok(buf)
+        self.load_at(id, region, level)
     }
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
-        let elements = buf.len();
-        FileSlowMemory::store(self, buf)?;
-        if !level.is_default() {
-            self.ledger.note_level_store(level.raw(), elements);
-        }
-        Ok(())
+        self.store_at(buf, level)
     }
 }
 

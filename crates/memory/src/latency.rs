@@ -7,13 +7,18 @@
 //! flop, without changing the wrapped machine's behaviour in any way: results,
 //! `IoStats`, traces and errors are exactly those of the inner machine.
 //!
-//! Time is accumulated per *window* — the engine brackets each task group
-//! with [`MachineOps::note_group_boundary`] calls. Within a window, the cost
-//! of demand loads and stores is serial, while loads flagged by
-//! [`MachineOps::note_prefetch`] are accounted as overlapped with the
-//! window's compute: the window contributes `demand + max(compute, prefetch)`
-//! (see [`TimeStats`]). Replaying the same schedule at increasing lookahead
-//! therefore yields a deterministic modelled speedup curve.
+//! Time is accumulated on a [`ModelClock`] per *window* — the engine
+//! brackets each task group with [`MachineOps::note_group_boundary`] calls.
+//! Within a window, the cost of demand loads and stores is serial, while
+//! loads flagged by [`MachineOps::note_prefetch`] are accounted as overlapped
+//! with the window's compute: the window contributes
+//! `demand + max(compute, prefetch)` (see [`TimeStats`]). Replaying the same
+//! schedule at increasing lookahead therefore yields a deterministic modelled
+//! speedup curve.
+//!
+//! Wrapped around a [`SymbolicMachine`](crate::SymbolicMachine), it prices a
+//! schedule without executing it: that is how `symla_sched::timing` models
+//! time.
 //!
 //! ```
 //! use symla_memory::{LatencyMachine, MachineModel, MachineOps, OocMachine, Region};
@@ -27,6 +32,7 @@
 //! assert!(machine.time().total_ns() > 0.0);
 //! ```
 
+use crate::clock::ModelClock;
 use crate::error::Result;
 use crate::level::Level;
 use crate::machine::{FastBuf, MachineOps, MatrixId};
@@ -37,18 +43,13 @@ use symla_matrix::kernels::FlopCount;
 use symla_matrix::Scalar;
 
 /// Wraps a [`MachineOps`] implementation and prices every operation with a
-/// [`MachineModel`], accumulating [`TimeStats`] windows at group boundaries.
+/// [`MachineModel`] on a [`ModelClock`], which settles one window per group
+/// boundary.
 #[derive(Debug)]
 pub struct LatencyMachine<T: Scalar, M: MachineOps<T>> {
     inner: M,
     model: MachineModel,
-    settled: TimeStats,
-    window_demand_ns: f64,
-    window_prefetch_ns: f64,
-    window_compute_ns: f64,
-    /// Cost of the most recent successful load, still sitting in the demand
-    /// accumulator; `note_prefetch` moves it to the prefetch side.
-    last_load_ns: f64,
+    clock: ModelClock,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -58,11 +59,7 @@ impl<T: Scalar, M: MachineOps<T>> LatencyMachine<T, M> {
         Self {
             inner,
             model,
-            settled: TimeStats::default(),
-            window_demand_ns: 0.0,
-            window_prefetch_ns: 0.0,
-            window_compute_ns: 0.0,
-            last_load_ns: 0.0,
+            clock: ModelClock::new(),
             _marker: PhantomData,
         }
     }
@@ -87,38 +84,22 @@ impl<T: Scalar, M: MachineOps<T>> LatencyMachine<T, M> {
         &self.model
     }
 
-    fn settle_window(&mut self) {
-        self.settled.add_window(
-            self.window_demand_ns,
-            self.window_prefetch_ns,
-            self.window_compute_ns,
-        );
-        self.window_demand_ns = 0.0;
-        self.window_prefetch_ns = 0.0;
-        self.window_compute_ns = 0.0;
-        self.last_load_ns = 0.0;
+    /// The clock the operations are charged to (its
+    /// [`ModelClock::window_ns`] is the open window's contribution).
+    pub fn clock(&self) -> &ModelClock {
+        &self.clock
     }
 
     /// The modelled time so far, including the not-yet-settled window (so it
     /// is meaningful both mid-replay and after the final boundary).
     pub fn time(&self) -> TimeStats {
-        let mut t = self.settled;
-        t.add_window(
-            self.window_demand_ns,
-            self.window_prefetch_ns,
-            self.window_compute_ns,
-        );
-        t
+        self.clock.time()
     }
 }
 
 impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for LatencyMachine<T, M> {
     fn load(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
-        let buf = self.inner.load(id, region)?;
-        let cost = self.model.load_ns(buf.len());
-        self.window_demand_ns += cost;
-        self.last_load_ns = cost;
-        Ok(buf)
+        self.load_from(id, region, Level::SLOW)
     }
 
     fn allocate_zeroed(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
@@ -127,11 +108,7 @@ impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for LatencyMachine<T, M> {
     }
 
     fn store(&mut self, buf: FastBuf<T>) -> Result<()> {
-        let elements = buf.len();
-        self.inner.store(buf)?;
-        self.window_demand_ns += self.model.store_ns(elements);
-        self.last_load_ns = 0.0;
-        Ok(())
+        self.store_to(buf, Level::SLOW)
     }
 
     fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
@@ -140,22 +117,22 @@ impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for LatencyMachine<T, M> {
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         let buf = self.inner.load_from(id, region, level)?;
-        let cost = self.model.load_ns_at(level, buf.len());
-        self.window_demand_ns += cost;
-        self.last_load_ns = cost;
+        self.clock
+            .charge_load(self.model.load_ns_at(level, buf.len()));
         Ok(buf)
     }
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         let elements = buf.len();
         self.inner.store_to(buf, level)?;
-        self.window_demand_ns += self.model.store_ns_at(level, elements);
-        self.last_load_ns = 0.0;
+        self.clock
+            .charge_store(self.model.store_ns_at(level, elements));
         Ok(())
     }
 
     fn record_flops(&mut self, flops: FlopCount) {
-        self.window_compute_ns += self.model.compute_ns(flops.total());
+        self.clock
+            .charge_compute(self.model.compute_ns(flops.total()));
         self.inner.record_flops(flops);
     }
 
@@ -175,14 +152,12 @@ impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for LatencyMachine<T, M> {
         // The engine calls this immediately after a prefetched load: move
         // that load's cost from the stalling (demand) side of the window to
         // the overlapped (prefetch) side.
-        self.window_demand_ns -= self.last_load_ns;
-        self.window_prefetch_ns += self.last_load_ns;
-        self.last_load_ns = 0.0;
+        self.clock.reclassify_last_load();
         self.inner.note_prefetch(elements);
     }
 
     fn note_group_boundary(&mut self) {
-        self.settle_window();
+        self.clock.settle();
         self.inner.note_group_boundary();
     }
 
@@ -208,6 +183,10 @@ impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for LatencyMachine<T, M> {
 
     fn note_claim(&mut self, group: usize, stolen: bool) {
         self.inner.note_claim(group, stolen);
+    }
+
+    fn holds_data(&self) -> bool {
+        self.inner.holds_data()
     }
 }
 

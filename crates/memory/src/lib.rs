@@ -19,6 +19,11 @@
 //!   capacity-checked fast memory and its own accounting. The slow memory
 //!   can be split into shards ([`shared::SharedSlowMemory::with_shards`]),
 //!   with per-shard lease accounting and a per-shard traffic breakdown.
+//! * [`symbolic::SymbolicMachine`] is a machine without data: it keeps the
+//!   same ledger (capacity, residency, phase, trace, `IoStats`) but its
+//!   buffers are empty, so replaying a schedule against it is a dry run.
+//!   Wrapped in [`latency::LatencyMachine`], which prices through the
+//!   [`clock::ModelClock`], it models a replay's time.
 //! * [`level::Level`] generalizes transfers to a memory *hierarchy*:
 //!   [`tiered::TieredMachine`] stacks capacity-checked tiers below the
 //!   classic slow memory, [`model::MachineModel`] prices each tier, and
@@ -45,6 +50,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
+pub mod clock;
 pub mod error;
 #[cfg(feature = "file-backed")]
 pub mod file;
@@ -57,9 +63,11 @@ pub mod region;
 pub mod shared;
 pub mod stats;
 pub mod storage;
+pub mod symbolic;
 pub mod tiered;
 pub mod trace;
 
+pub use clock::ModelClock;
 pub use error::{MemoryError, Result};
 #[cfg(feature = "file-backed")]
 pub use file::FileSlowMemory;
@@ -71,5 +79,6 @@ pub use operand::{PanelRef, SymWindowRef};
 pub use region::{Region, RegionParseError};
 pub use shared::{SharedSlowMemory, WorkerMachine};
 pub use stats::{IoStats, IoVolume};
+pub use symbolic::SymbolicMachine;
 pub use tiered::TieredMachine;
 pub use trace::{Direction, Trace, TraceEvent};

@@ -27,13 +27,9 @@ use symla_matrix::kernels::FlopCount;
 use symla_matrix::views::{MatView, MatViewMut, PackedLowerView, PackedLowerViewMut};
 use symla_matrix::{Matrix, Scalar, SymMatrix};
 
+/// Issues the process-unique tag of every [`Ledger`], which ties the
+/// buffers a machine mints to it.
 static MACHINE_COUNTER: AtomicU64 = AtomicU64::new(1);
-
-/// Issues a process-unique tag for a lease-minting machine (the serial
-/// [`OocMachine`] or one worker of [`crate::shared::SharedSlowMemory`]).
-pub(crate) fn next_machine_tag() -> u64 {
-    MACHINE_COUNTER.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Identifier of a matrix registered in slow memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,14 +119,16 @@ impl<T: Scalar> FastBuf<T> {
         self.machine_tag
     }
 
-    /// Number of elements in the buffer.
+    /// Number of elements in the buffer: its region's element count, which
+    /// a [`SymbolicMachine`](crate::symbolic::SymbolicMachine) buffer reports
+    /// without holding the data.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.region.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.region.is_empty()
     }
 
     /// The region of the source matrix this buffer mirrors.
@@ -143,7 +141,8 @@ impl<T: Scalar> FastBuf<T> {
         self.matrix
     }
 
-    /// Read-only access to the raw buffer (layout documented on [`Region`]).
+    /// Read-only access to the raw buffer (layout documented on [`Region`];
+    /// empty for a symbolic buffer).
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
@@ -214,19 +213,20 @@ impl<T: Scalar> FastBuf<T> {
     }
 }
 
-/// The lease, capacity, statistics and trace bookkeeping shared by every
-/// slow-memory backend of this crate.
+/// The capacity, residency, phase, statistics and trace bookkeeping shared
+/// by every machine of this crate.
 ///
-/// [`OocMachine`] (allocation-backed) and the feature-gated
-/// [`crate::file::FileSlowMemory`] (file-backed) differ only in where the
-/// bytes live; the accounting contract — element-exact load/store counting,
-/// capacity checks on every admission, lease tracking per matrix, optional
-/// transfer traces — is identical and lives here so the backends cannot
-/// drift apart.
+/// The simulated [`OocMachine`], the file-backed
+/// [`FileSlowMemory`](crate::file::FileSlowMemory), the workers of
+/// [`crate::shared::SharedSlowMemory`] and the data-less
+/// [`SymbolicMachine`](crate::symbolic::SymbolicMachine) differ only in where
+/// the bytes live, or whether there are any. The accounting contract —
+/// element-exact load/store counting, capacity checks on every admission,
+/// per-phase and per-level attribution, optional transfer traces — lives
+/// here, so their `IoStats` and traces cannot drift apart.
 #[derive(Debug)]
 pub(crate) struct Ledger {
     config: MachineConfig,
-    leases: BTreeMap<u64, usize>,
     resident: usize,
     stats: IoStats,
     trace: Option<Trace>,
@@ -238,16 +238,11 @@ impl Ledger {
     pub(crate) fn new(config: MachineConfig) -> Self {
         Self {
             config,
-            leases: BTreeMap::new(),
             resident: 0,
             stats: IoStats::new(),
-            trace: if config.record_trace {
-                Some(Trace::new())
-            } else {
-                None
-            },
+            trace: config.record_trace.then(Trace::new),
             phase: "main".to_string(),
-            tag: next_machine_tag(),
+            tag: MACHINE_COUNTER.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -263,13 +258,10 @@ impl Ledger {
         self.resident
     }
 
-    /// Opens a lease account for a newly registered matrix.
-    pub(crate) fn register(&mut self, id: u64) {
-        self.leases.insert(id, 0);
-    }
-
     pub(crate) fn set_phase(&mut self, phase: &str) {
-        self.phase = phase.to_string();
+        // Replays re-declare the phase at every group: reuse the buffer.
+        self.phase.clear();
+        self.phase.push_str(phase);
     }
 
     pub(crate) fn phase(&self) -> &str {
@@ -289,6 +281,14 @@ impl Ledger {
         Ok(())
     }
 
+    /// Rejects buffers minted by another machine.
+    pub(crate) fn check_owned(&self, machine_tag: u64) -> Result<()> {
+        if machine_tag != self.tag {
+            return Err(MemoryError::ForeignBuffer);
+        }
+        Ok(())
+    }
+
     fn record_event(&mut self, direction: Direction, matrix: MatrixId, region: &Region) {
         if let Some(trace) = self.trace.as_mut() {
             trace.push(TraceEvent {
@@ -301,83 +301,88 @@ impl Ledger {
         }
     }
 
-    /// Accounts a completed load of `region` from `id`: residency, load
-    /// traffic, lease count, trace event (in that order).
-    pub(crate) fn admit_load(&mut self, id: MatrixId, region: &Region) {
+    /// Accounts a completed load of `region` from `id` at tier `level`:
+    /// residency, load traffic (per phase and, off the default tier, per
+    /// level) and trace event, in that order.
+    pub(crate) fn admit_load(&mut self, id: MatrixId, region: &Region, level: Level) {
         let elements = region.len();
         self.resident += elements;
         self.stats.observe_resident(self.resident);
-        let phase = self.phase.clone();
-        self.stats.record_load(elements, &phase);
-        *self.leases.get_mut(&id.0).expect("lease entry exists") += 1;
+        self.stats.record_load(elements, &self.phase);
+        if !level.is_default() {
+            self.stats.record_level_load(level.raw(), elements);
+        }
         self.record_event(Direction::Load, id, region);
     }
 
-    /// Accounts a zero-fill allocation of `elements` against `id` (no load
-    /// traffic, no trace event).
-    pub(crate) fn admit_alloc(&mut self, id: MatrixId, elements: usize) {
+    /// Accounts a zero-fill allocation of `elements` (no load traffic, no
+    /// trace event).
+    pub(crate) fn admit_alloc(&mut self, elements: usize) {
         self.resident += elements;
         self.stats.observe_resident(self.resident);
-        *self.leases.get_mut(&id.0).expect("lease entry exists") += 1;
     }
 
-    /// Rejects buffers minted by another machine.
-    pub(crate) fn check_owned(&self, machine_tag: u64) -> Result<()> {
-        if machine_tag != self.tag {
-            return Err(MemoryError::ForeignBuffer);
-        }
-        Ok(())
-    }
-
-    /// Releases `elements` of residency and one lease of `matrix`.
-    pub(crate) fn release(&mut self, matrix: u64, elements: usize) {
+    /// Releases `elements` of residency.
+    pub(crate) fn release(&mut self, elements: usize) {
         self.resident -= elements;
-        if let Some(count) = self.leases.get_mut(&matrix) {
-            *count = count.saturating_sub(1);
-        }
     }
 
-    /// Accounts a completed store of `region` back to `id` (call after
-    /// [`Ledger::release`] so the trace event sees the post-release
-    /// residency).
-    pub(crate) fn note_store(&mut self, id: MatrixId, region: &Region) {
-        let phase = self.phase.clone();
-        self.stats.record_store(region.len(), &phase);
+    /// Accounts a completed store of `region` back to `id` at tier `level`
+    /// (call after [`Ledger::release`] so the trace event sees the
+    /// post-release residency).
+    pub(crate) fn note_store(&mut self, id: MatrixId, region: &Region, level: Level) {
+        let elements = region.len();
+        self.stats.record_store(elements, &self.phase);
+        if !level.is_default() {
+            self.stats.record_level_store(level.raw(), elements);
+        }
         self.record_event(Direction::Store, id, region);
-    }
-
-    pub(crate) fn check_takeable(&self, id: u64) -> Result<()> {
-        match self.leases.get(&id) {
-            None => Err(MemoryError::UnknownMatrix { id }),
-            Some(&count) if count > 0 => Err(MemoryError::LeasesOutstanding { id, count }),
-            Some(_) => Ok(()),
-        }
-    }
-
-    pub(crate) fn record_flops(&mut self, flops: FlopCount) {
-        self.stats.record_flops(flops);
-    }
-
-    pub(crate) fn note_prefetch(&mut self, elements: usize) {
-        self.stats.note_prefetch(elements);
-    }
-
-    /// Attributes an already-counted load to a non-default memory level.
-    pub(crate) fn note_level_load(&mut self, level: u8, elements: usize) {
-        self.stats.record_level_load(level, elements);
-    }
-
-    /// Attributes an already-counted store to a non-default memory level.
-    pub(crate) fn note_level_store(&mut self, level: u8, elements: usize) {
-        self.stats.record_level_store(level, elements);
     }
 
     pub(crate) fn stats(&self) -> &IoStats {
         &self.stats
     }
 
+    pub(crate) fn stats_mut(&mut self) -> &mut IoStats {
+        &mut self.stats
+    }
+
     pub(crate) fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
+    }
+
+    pub(crate) fn into_accounting(self) -> (IoStats, Option<Trace>) {
+        (self.stats, self.trace)
+    }
+}
+
+/// Per-matrix lease counts of a machine that owns its matrices: a matrix
+/// with buffers still out in fast memory cannot be taken out.
+#[derive(Debug, Default)]
+pub(crate) struct Leases(BTreeMap<u64, usize>);
+
+impl Leases {
+    /// Opens the account of a newly registered matrix.
+    pub(crate) fn register(&mut self, id: u64) {
+        self.0.insert(id, 0);
+    }
+
+    pub(crate) fn take(&mut self, id: MatrixId) {
+        *self.0.get_mut(&id.0).expect("lease entry exists") += 1;
+    }
+
+    pub(crate) fn release(&mut self, id: MatrixId) {
+        if let Some(count) = self.0.get_mut(&id.0) {
+            *count = count.saturating_sub(1);
+        }
+    }
+
+    pub(crate) fn check_takeable(&self, id: u64) -> Result<()> {
+        match self.0.get(&id) {
+            None => Err(MemoryError::UnknownMatrix { id }),
+            Some(&count) if count > 0 => Err(MemoryError::LeasesOutstanding { id, count }),
+            Some(_) => Ok(()),
+        }
     }
 }
 
@@ -387,6 +392,7 @@ pub struct OocMachine<T: Scalar> {
     matrices: BTreeMap<u64, SlowMatrix<T>>,
     next_id: u64,
     ledger: Ledger,
+    leases: Leases,
 }
 
 impl<T: Scalar> OocMachine<T> {
@@ -396,6 +402,7 @@ impl<T: Scalar> OocMachine<T> {
             matrices: BTreeMap::new(),
             next_id: 0,
             ledger: Ledger::new(config),
+            leases: Leases::default(),
         }
     }
 
@@ -428,7 +435,7 @@ impl<T: Scalar> OocMachine<T> {
         let id = self.next_id;
         self.next_id += 1;
         self.matrices.insert(id, m);
-        self.ledger.register(id);
+        self.leases.register(id);
         MatrixId(id)
     }
 
@@ -453,20 +460,19 @@ impl<T: Scalar> OocMachine<T> {
     /// Loads a region of a matrix into fast memory, charging its element
     /// count as load traffic and checking the capacity.
     pub fn load(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
-        let elements = region.len();
-        self.ledger.check_capacity(elements)?;
+        self.load_at(id, region, Level::SLOW)
+    }
+
+    fn load_at(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
+        self.ledger.check_capacity(region.len())?;
         let matrix = self
             .matrices
             .get(&id.0)
             .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
         let data = matrix.gather(&region)?;
-        self.ledger.admit_load(id, &region);
-        Ok(FastBuf {
-            data,
-            matrix: id,
-            region,
-            machine_tag: self.ledger.tag(),
-        })
+        self.ledger.admit_load(id, &region, level);
+        self.leases.take(id);
+        Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
 
     /// Reserves fast-memory space for a region *without reading it* (no load
@@ -481,41 +487,46 @@ impl<T: Scalar> OocMachine<T> {
             .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
         // Validate the region against the matrix without transferring data.
         matrix.validate_region(&region)?;
-        self.ledger.admit_alloc(id, elements);
-        Ok(FastBuf {
-            data: vec![T::ZERO; elements],
-            matrix: id,
+        self.ledger.admit_alloc(elements);
+        self.leases.take(id);
+        Ok(FastBuf::from_parts(
+            vec![T::ZERO; elements],
+            id,
             region,
-            machine_tag: self.ledger.tag(),
-        })
+            self.ledger.tag(),
+        ))
     }
 
     /// Writes a buffer back to slow memory (charging store traffic) and
     /// releases its fast-memory space.
     pub fn store(&mut self, buf: FastBuf<T>) -> Result<()> {
+        self.store_at(buf, Level::SLOW)
+    }
+
+    fn store_at(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag)?;
-        {
-            let matrix = self
-                .matrices
-                .get_mut(&buf.matrix.0)
-                .ok_or(MemoryError::UnknownMatrix { id: buf.matrix.0 })?;
-            matrix.scatter(&buf.region, &buf.data)?;
-        }
-        self.ledger.release(buf.matrix.0, buf.data.len());
-        self.ledger.note_store(buf.matrix, &buf.region);
+        let matrix = self
+            .matrices
+            .get_mut(&buf.matrix.0)
+            .ok_or(MemoryError::UnknownMatrix { id: buf.matrix.0 })?;
+        matrix.scatter(&buf.region, &buf.data)?;
+        self.ledger.release(buf.len());
+        self.leases.release(buf.matrix);
+        self.ledger.note_store(buf.matrix, &buf.region, level);
         Ok(())
     }
 
     /// Releases a buffer without writing it back (no store traffic).
     pub fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag)?;
-        self.ledger.release(buf.matrix.0, buf.data.len());
+        self.ledger.release(buf.len());
+        self.leases.release(buf.matrix);
         Ok(())
     }
 
     /// Records arithmetic work performed by the schedule.
     pub fn record_flops(&mut self, flops: FlopCount) {
-        self.ledger.record_flops(flops);
+        self.ledger.stats_mut().record_flops(flops);
     }
 
     /// The accumulated statistics.
@@ -532,7 +543,7 @@ impl<T: Scalar> OocMachine<T> {
     /// fast-memory buffer leased from it is still outstanding, or if the
     /// matrix is not dense).
     pub fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>> {
-        self.ledger.check_takeable(id.0)?;
+        self.leases.check_takeable(id.0)?;
         match self.matrices.remove(&id.0) {
             Some(SlowMatrix::Dense(m)) => Ok(m),
             Some(other) => {
@@ -549,7 +560,7 @@ impl<T: Scalar> OocMachine<T> {
 
     /// Removes a symmetric matrix from slow memory and returns it.
     pub fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>> {
-        self.ledger.check_takeable(id.0)?;
+        self.leases.check_takeable(id.0)?;
         match self.matrices.remove(&id.0) {
             Some(SlowMatrix::Symmetric(s)) => Ok(s),
             Some(other) => {
@@ -594,11 +605,13 @@ impl<T: Scalar> OocMachine<T> {
 
 /// The machine surface a schedule replayer drives.
 ///
-/// Both the serial [`OocMachine`] and the per-worker machines of
-/// [`crate::shared::SharedSlowMemory`] implement this trait, so the generic
-/// engine of `symla-sched` can execute a schedule against either: one private
-/// slow memory (serial execution) or one slow memory shared by `P` workers
-/// (parallel execution). Every implementation must uphold the accounting
+/// The serial [`OocMachine`], the per-worker machines of
+/// [`crate::shared::SharedSlowMemory`] and the data-less
+/// [`SymbolicMachine`](crate::symbolic::SymbolicMachine) implement this
+/// trait, so the one replay loop of `symla-sched` executes a schedule against
+/// any of them: one private slow memory (serial execution), one slow memory
+/// shared by `P` workers (parallel execution), or no data at all (dry runs,
+/// traces and modelled time). Every implementation must uphold the accounting
 /// contract of [`OocMachine`]: loads and stores are counted element-exactly,
 /// the resident footprint is capacity-checked on every allocation, and a
 /// buffer can only be released against the machine that issued it.
@@ -690,6 +703,14 @@ pub trait MachineOps<T: Scalar> {
     /// `stolen` is `true` when the group came off another worker's queue.
     /// Default no-op.
     fn note_claim(&mut self, _group: usize, _stolen: bool) {}
+
+    /// Whether the machine's buffers carry data. Replayers skip compute
+    /// kernels on a machine that answers `false` (a
+    /// [`SymbolicMachine`](crate::symbolic::SymbolicMachine)); decorators
+    /// forward their inner machine's answer.
+    fn holds_data(&self) -> bool {
+        true
+    }
 }
 
 impl<T: Scalar> MachineOps<T> for OocMachine<T> {
@@ -726,24 +747,15 @@ impl<T: Scalar> MachineOps<T> for OocMachine<T> {
     }
 
     fn note_prefetch(&mut self, elements: usize) {
-        self.ledger.note_prefetch(elements);
+        self.ledger.stats_mut().note_prefetch(elements);
     }
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
-        let buf = OocMachine::load(self, id, region)?;
-        if !level.is_default() {
-            self.ledger.note_level_load(level.raw(), buf.len());
-        }
-        Ok(buf)
+        self.load_at(id, region, level)
     }
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
-        let elements = buf.len();
-        OocMachine::store(self, buf)?;
-        if !level.is_default() {
-            self.ledger.note_level_store(level.raw(), elements);
-        }
-        Ok(())
+        self.store_at(buf, level)
     }
 }
 

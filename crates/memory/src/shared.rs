@@ -34,11 +34,11 @@
 
 use crate::error::{MemoryError, Result};
 use crate::level::Level;
-use crate::machine::{next_machine_tag, FastBuf, MachineConfig, MachineOps, MatrixId};
+use crate::machine::{FastBuf, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
 use crate::storage::SlowMatrix;
-use crate::trace::{Direction, Trace, TraceEvent};
+use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use symla_matrix::kernels::FlopCount;
@@ -243,53 +243,33 @@ impl<T: Scalar> SharedSlowMemory<T> {
         );
         WorkerMachine {
             shared: self,
-            config,
             home,
             num_shards,
-            resident: 0,
-            stats: IoStats::new(),
-            trace: if config.record_trace {
-                Some(Trace::new())
-            } else {
-                None
-            },
-            phase: "main".to_string(),
-            tag: next_machine_tag(),
+            ledger: Ledger::new(config),
         }
     }
 
-    /// Gathers a region and takes one matrix-level lease (worker load path).
-    /// Returns the data and the matrix's home shard.
-    fn lease_gather(&self, id: MatrixId, region: &Region) -> Result<(Vec<T>, usize)> {
+    /// Takes one matrix-level lease on a valid `region` of `id`, reading
+    /// its data when `gather` is set (the worker load path; the allocate
+    /// path only validates). Returns the data and the matrix's home shard.
+    fn lease(&self, id: MatrixId, region: &Region, gather: bool) -> Result<(Vec<T>, usize)> {
         let mut state = self.lock();
         let shard = state.home_of(id.0)?;
         let matrix = state.shards[shard]
             .matrices
             .get(&id.0)
             .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
-        let data = matrix.gather(region)?;
+        let data = if gather {
+            matrix.gather(region)?
+        } else {
+            matrix.validate_region(region)?;
+            Vec::new()
+        };
         *state.shards[shard]
             .leases
             .get_mut(&id.0)
             .expect("lease entry exists") += 1;
         Ok((data, shard))
-    }
-
-    /// Validates a region without reading it and takes one lease (worker
-    /// allocate path).
-    fn lease_validate(&self, id: MatrixId, region: &Region) -> Result<()> {
-        let mut state = self.lock();
-        let shard = state.home_of(id.0)?;
-        let matrix = state.shards[shard]
-            .matrices
-            .get(&id.0)
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
-        matrix.validate_region(region)?;
-        *state.shards[shard]
-            .leases
-            .get_mut(&id.0)
-            .expect("lease entry exists") += 1;
-        Ok(())
     }
 
     /// Scatters a buffer back and releases its lease (worker store path).
@@ -383,27 +363,22 @@ impl<T: Scalar> SharedSlowMemory<T> {
 ///
 /// A worker is the parallel counterpart of the serial
 /// [`OocMachine`](crate::machine::OocMachine): it exposes the same
-/// load / allocate / store / discard surface (via [`MachineOps`]), counts the
-/// same per-element [`IoStats`] and optionally records the same per-transfer
-/// [`Trace`] — but its loads and stores move data through the *shared* slow
-/// memory, so concurrent workers observe each other's stored results.
+/// load / allocate / store / discard surface (via [`MachineOps`]) and keeps
+/// its [`IoStats`] and optional [`Trace`] in the same ledger — but its loads
+/// and stores move data through the *shared* slow memory, so concurrent
+/// workers observe each other's stored results.
 #[derive(Debug)]
 pub struct WorkerMachine<'m, T: Scalar> {
     shared: &'m SharedSlowMemory<T>,
-    config: MachineConfig,
     home: usize,
     num_shards: usize,
-    resident: usize,
-    stats: IoStats,
-    trace: Option<Trace>,
-    phase: String,
-    tag: u64,
+    ledger: Ledger,
 }
 
 impl<'m, T: Scalar> WorkerMachine<'m, T> {
     /// The worker's configured fast-memory capacity.
     pub fn capacity(&self) -> Option<usize> {
-        self.config.capacity
+        self.ledger.capacity()
     }
 
     /// The worker's home shard (0 for workers of an unsharded memory).
@@ -416,10 +391,11 @@ impl<'m, T: Scalar> WorkerMachine<'m, T> {
     /// unsharded runs keep their pre-hierarchy `IoStats` field-for-field.
     fn note_shard(&mut self, shard: usize, elements: usize, is_load: bool) {
         if self.num_shards > 1 {
+            let stats = self.ledger.stats_mut();
             if is_load {
-                self.stats.record_shard_load(shard, elements);
+                stats.record_shard_load(shard, elements);
             } else {
-                self.stats.record_shard_store(shard, elements);
+                stats.record_shard_store(shard, elements);
             }
         }
     }
@@ -427,7 +403,7 @@ impl<'m, T: Scalar> WorkerMachine<'m, T> {
     /// Load volume against shards other than the worker's home shard: the
     /// worker's cross-shard input traffic. Zero for unsharded memories.
     pub fn cross_shard_loads(&self) -> u64 {
-        self.stats
+        self.stats()
             .per_shard
             .iter()
             .filter(|(shard, _)| **shard != self.home)
@@ -437,149 +413,100 @@ impl<'m, T: Scalar> WorkerMachine<'m, T> {
 
     /// Elements currently resident in this worker's fast memory.
     pub fn resident(&self) -> usize {
-        self.resident
+        self.ledger.resident()
     }
 
     /// The currently active phase label.
     pub fn phase(&self) -> &str {
-        &self.phase
+        self.ledger.phase()
     }
 
     /// This worker's accumulated statistics.
     pub fn stats(&self) -> &IoStats {
-        &self.stats
+        self.ledger.stats()
     }
 
     /// This worker's recorded trace, if trace recording was enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.ledger.trace()
     }
 
     /// Consumes the worker and returns its accounting.
     pub fn into_accounting(self) -> (IoStats, Option<Trace>) {
-        (self.stats, self.trace)
-    }
-
-    fn check_capacity(&self, extra: usize) -> Result<()> {
-        if let Some(cap) = self.config.capacity {
-            if self.resident + extra > cap {
-                return Err(MemoryError::CapacityExceeded {
-                    requested: extra,
-                    resident: self.resident,
-                    capacity: cap,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn record_event(&mut self, direction: Direction, matrix: MatrixId, region: &Region) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEvent {
-                direction,
-                matrix: matrix.raw(),
-                region: region.clone(),
-                phase: self.phase.clone(),
-                resident_after: self.resident,
-            });
-        }
+        self.ledger.into_accounting()
     }
 }
 
 impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
     fn load(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
-        let elements = region.len();
-        self.check_capacity(elements)?;
-        let (data, shard) = self.shared.lease_gather(id, &region)?;
-        self.resident += elements;
-        self.stats.observe_resident(self.resident);
-        let phase = self.phase.clone();
-        self.stats.record_load(elements, &phase);
-        self.note_shard(shard, elements, true);
-        self.record_event(Direction::Load, id, &region);
-        Ok(FastBuf::from_parts(data, id, region, self.tag))
+        self.load_from(id, region, Level::SLOW)
+    }
+
+    fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
+        self.ledger.check_capacity(region.len())?;
+        let (data, shard) = self.shared.lease(id, &region, true)?;
+        self.ledger.admit_load(id, &region, level);
+        self.note_shard(shard, region.len(), true);
+        Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
 
     fn allocate_zeroed(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
         let elements = region.len();
-        self.check_capacity(elements)?;
-        self.shared.lease_validate(id, &region)?;
-        self.resident += elements;
-        self.stats.observe_resident(self.resident);
+        self.ledger.check_capacity(elements)?;
+        self.shared.lease(id, &region, false)?;
+        self.ledger.admit_alloc(elements);
         Ok(FastBuf::from_parts(
             vec![T::ZERO; elements],
             id,
             region,
-            self.tag,
+            self.ledger.tag(),
         ))
     }
 
     fn store(&mut self, buf: FastBuf<T>) -> Result<()> {
-        if buf.machine_tag() != self.tag {
-            return Err(MemoryError::ForeignBuffer);
-        }
-        let elements = buf.len();
-        let id = buf.matrix_id();
+        self.store_to(buf, Level::SLOW)
+    }
+
+    fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
+        self.ledger.check_owned(buf.machine_tag())?;
         let outcome = self
             .shared
-            .scatter_release(id, buf.region(), buf.as_slice());
+            .scatter_release(buf.matrix_id(), buf.region(), buf.as_slice());
         // The buffer leaves fast memory whether or not the scatter landed
         // (it is consumed by this call), so the residency drops either way;
         // a failed transfer moves no elements and counts no traffic.
-        self.resident -= elements;
+        self.ledger.release(buf.len());
         let shard = outcome?;
-        let phase = self.phase.clone();
-        self.stats.record_store(elements, &phase);
-        self.note_shard(shard, elements, false);
-        let region = buf.region().clone();
-        self.record_event(Direction::Store, id, &region);
+        self.ledger.note_store(buf.matrix_id(), buf.region(), level);
+        self.note_shard(shard, buf.len(), false);
         Ok(())
     }
 
     fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
-        if buf.machine_tag() != self.tag {
-            return Err(MemoryError::ForeignBuffer);
-        }
-        self.resident -= buf.len();
+        self.ledger.check_owned(buf.machine_tag())?;
+        self.ledger.release(buf.len());
         self.shared.release(buf.matrix_id());
         Ok(())
     }
 
     fn record_flops(&mut self, flops: FlopCount) {
-        self.stats.record_flops(flops);
+        self.ledger.stats_mut().record_flops(flops);
     }
 
     fn set_phase(&mut self, phase: &str) {
-        self.phase = phase.to_string();
+        self.ledger.set_phase(phase);
     }
 
     fn phase(&self) -> &str {
-        WorkerMachine::phase(self)
+        self.ledger.phase()
     }
 
     fn capacity(&self) -> Option<usize> {
-        WorkerMachine::capacity(self)
+        self.ledger.capacity()
     }
 
     fn note_prefetch(&mut self, elements: usize) {
-        self.stats.note_prefetch(elements);
-    }
-
-    fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
-        let buf = MachineOps::load(self, id, region)?;
-        if !level.is_default() {
-            self.stats.record_level_load(level.raw(), buf.len());
-        }
-        Ok(buf)
-    }
-
-    fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
-        let elements = buf.len();
-        MachineOps::store(self, buf)?;
-        if !level.is_default() {
-            self.stats.record_level_store(level.raw(), elements);
-        }
-        Ok(())
+        self.ledger.stats_mut().note_prefetch(elements);
     }
 }
 

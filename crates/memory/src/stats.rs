@@ -91,14 +91,26 @@ impl IoStats {
     pub fn record_load(&mut self, elements: usize, phase: &str) {
         self.volume.loads += elements as u64;
         self.load_events += 1;
-        self.per_phase.entry(phase.to_string()).or_default().loads += elements as u64;
+        self.phase_mut(phase).loads += elements as u64;
     }
 
     /// Records a store of `elements` elements under phase `phase`.
     pub fn record_store(&mut self, elements: usize, phase: &str) {
         self.volume.stores += elements as u64;
         self.store_events += 1;
-        self.per_phase.entry(phase.to_string()).or_default().stores += elements as u64;
+        self.phase_mut(phase).stores += elements as u64;
+    }
+
+    /// The traffic entry of `phase`, allocating its name only the first
+    /// time the phase is seen.
+    fn phase_mut(&mut self, phase: &str) -> &mut IoVolume {
+        if !self.per_phase.contains_key(phase) {
+            self.per_phase
+                .insert(phase.to_string(), IoVolume::default());
+        }
+        self.per_phase
+            .get_mut(phase)
+            .expect("the entry was just ensured")
     }
 
     /// Attributes a load of `elements` elements to memory level `level`

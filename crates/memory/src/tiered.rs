@@ -211,6 +211,10 @@ impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for TieredMachine<T, M> {
     fn note_claim(&mut self, group: usize, stolen: bool) {
         self.inner.note_claim(group, stolen);
     }
+
+    fn holds_data(&self) -> bool {
+        self.inner.holds_data()
+    }
 }
 
 #[cfg(test)]

@@ -20,12 +20,13 @@
 //! flushed. Event order is unchanged — the pending load is always flushed
 //! before the next record is emitted.
 
-use crate::clock::ModelClock;
 use crate::event::{EventKind, ObsRecord};
 use crate::observer::ExecutionObserver;
 use symla_matrix::kernels::FlopCount;
 use symla_matrix::Scalar;
-use symla_memory::{FastBuf, Level, MachineModel, MachineOps, MatrixId, Region, Result, TimeStats};
+use symla_memory::{
+    FastBuf, Level, MachineModel, MachineOps, MatrixId, ModelClock, Region, Result, TimeStats,
+};
 
 #[derive(Debug, Clone, Copy)]
 struct PendingLoad {
@@ -282,6 +283,10 @@ impl<T: Scalar, M: MachineOps<T>, O: ExecutionObserver> MachineOps<T>
             self.flush_pending();
             self.emit(EventKind::Claim { group, stolen });
         }
+    }
+
+    fn holds_data(&self) -> bool {
+        self.inner.holds_data()
     }
 }
 

@@ -18,9 +18,10 @@
 //!   is double-stamped: real nanoseconds since the recorder's epoch *and*
 //!   the position on the modelled timeline.
 //! * [`InstrumentedMachine`] — wraps any `MachineOps` machine, forwards
-//!   every call, and emits records stamped by a [`ModelClock`] (the same
-//!   windowed demand/prefetch/compute arithmetic as
-//!   [`LatencyMachine`](symla_memory::LatencyMachine), bitwise).
+//!   every call, and emits records stamped by a [`ModelClock`] (re-exported
+//!   from `symla_memory`, where
+//!   [`LatencyMachine`](symla_memory::LatencyMachine) prices through the same
+//!   clock).
 //! * [`RunTrace`] → [`RunTrace::to_chrome_trace`] — Chrome trace-event /
 //!   Perfetto export with one track per worker and async arrows from each
 //!   prefetch issue to its consuming group.
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
 pub mod event;
 pub mod instrument;
 pub mod json;
@@ -54,9 +54,9 @@ pub mod metrics;
 pub mod observer;
 pub mod perfetto;
 
-pub use clock::ModelClock;
 pub use event::{EventKind, ObsRecord};
 pub use instrument::InstrumentedMachine;
 pub use metrics::{Histogram, MetricsRegistry, RunReport};
 pub use observer::{ExecutionObserver, NullObserver, RunTrace, TraceRecorder};
 pub use perfetto::TimeBase;
+pub use symla_memory::ModelClock;

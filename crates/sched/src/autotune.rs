@@ -554,11 +554,17 @@ impl<'a> Tuner<'a> {
                         skipped += space.workers.len();
                         continue;
                     }
-                    let time = modelled_time_planned(schedule, self.model, &plan);
-                    let group_times = if space.workers.iter().any(|&w| w > 1) {
-                        Some(modelled_group_times(schedule, self.model, &plan))
-                    } else {
-                        None
+                    let parallel = space.workers.iter().any(|&w| w > 1);
+                    let windows =
+                        parallel.then(|| modelled_group_times(schedule, self.model, &plan));
+                    // A schedule the replay rejects is as infeasible as one
+                    // over capacity.
+                    let (Ok(time), Ok(group_times)) = (
+                        modelled_time_planned(schedule, self.model, &plan),
+                        windows.transpose(),
+                    ) else {
+                        skipped += space.workers.len();
+                        continue;
                     };
                     for &workers in &space.workers {
                         let modelled_ns = if workers <= 1 {
@@ -633,7 +639,7 @@ impl<'a> Tuner<'a> {
         } else {
             PrefetchPlan::plan(schedule, lookahead, Some(self.capacity))
         };
-        modelled_time_planned(schedule, self.model, &plan).total_ns()
+        modelled_time_planned(schedule, self.model, &plan).map_or(f64::INFINITY, |t| t.total_ns())
     }
 
     /// Stable truncation to the beam width by ascending score (ties keep
@@ -833,7 +839,7 @@ mod tests {
             Some(256),
         );
         assert_eq!(stats, tuned.report.winner().stats);
-        let time = modelled_time_planned(&tuned.schedule, &model, &tuned.plan);
+        let time = modelled_time_planned(&tuned.schedule, &model, &tuned.plan).unwrap();
         assert_eq!(
             time.total_ns().to_bits(),
             tuned.report.winner().modelled_ns.to_bits()
@@ -947,7 +953,7 @@ mod tests {
         // work stealing may assign differently than LPT, but no worker's
         // window sum can beat the longest group, and the candidate's
         // modelled ns is the LPT makespan of the same windows.
-        let windows = modelled_group_times(&tuned.schedule, &model, &tuned.plan);
+        let windows = modelled_group_times(&tuned.schedule, &model, &tuned.plan).unwrap();
         let winner_ns = tuned.report.winner().modelled_ns;
         assert_eq!(
             winner_ns.to_bits(),

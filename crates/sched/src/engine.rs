@@ -1,60 +1,61 @@
 //! The generic out-of-core execution engine.
 //!
-//! [`Engine`] replays a [`Schedule`] built from the IR of [`crate::ir`] in
-//! five modes: two that run it, two that only analyze it, and a prefetching
-//! variant of each of the four:
+//! [`Engine`] replays a [`Schedule`] built from the IR of [`crate::ir`]
+//! through **one serial replay loop** and one parallel distribution loop.
+//! What a replay *means* is decided by the [`MachineOps`] machine it drives,
+//! not by the engine:
 //!
-//! * [`Engine::execute`] — runs the schedule for real against any
-//!   [`MachineOps`] machine (normally the serial
-//!   [`OocMachine`](symla_memory::OocMachine)): every
-//!   load/store is a counted, capacity-checked machine transfer and every
+//! * [`Engine::execute`] / [`Engine::execute_with`] /
+//!   [`Engine::execute_planned`] run the schedule against any machine —
+//!   normally the serial [`OocMachine`](symla_memory::OocMachine), where
+//!   every load/store is a counted, capacity-checked transfer and every
 //!   compute step runs its block kernel on the resident buffers. The eight
 //!   out-of-core algorithms' `*_execute` wrappers are serial executions
-//!   through this entry point.
-//! * [`Engine::execute_parallel`] — distributes the schedule's
-//!   [`TaskGroup`]s over `P` workers of a [`SharedSlowMemory`] through a
-//!   work-stealing queue of [`std::thread::scope`] threads. Each worker is a
-//!   private, capacity-checked fast memory with its own [`IoStats`] /
-//!   [`Trace`]; the groups it replays run through the same per-group code
-//!   path as a serial execution.
-//! * [`Engine::dry_run`] — replays only the accounting: loads, stores,
-//!   events, flops, per-phase attribution and the peak-resident watermark,
-//!   without a machine or data. A dry run of a schedule produces exactly the
-//!   [`IoStats`] an execution of the same schedule produces.
-//! * [`Engine::trace`] — synthesizes the [`Trace`] event stream the machine
-//!   would record, again without executing anything; used for schedule
-//!   inspection and bound verification.
+//!   through these entry points.
+//! * [`Engine::dry_run`] / [`Engine::dry_run_with`] and [`Engine::trace`] /
+//!   [`Engine::trace_with`] replay the same loop against a data-less
+//!   [`SymbolicMachine`], which keeps the capacity, residency, phase, trace
+//!   and [`IoStats`] accounting through the same ledger as `OocMachine` but
+//!   holds no data, so compute steps are skipped
+//!   ([`MachineOps::holds_data`]). A dry run therefore produces exactly the
+//!   `IoStats` (and a trace exactly the [`Trace`]) an execution of the same
+//!   schedule leaves in a machine — by construction.
+//! * Decorators change what a replay measures:
+//!   [`LatencyMachine`](symla_memory::LatencyMachine) prices it on a
+//!   modelled clock and [`InstrumentedMachine`] emits a typed event stream;
+//!   wrapped around a `SymbolicMachine` they are the static analyses of
+//!   [`crate::timing`].
+//! * [`Engine::execute_parallel`] distributes the schedule's [`TaskGroup`]s
+//!   over `P` workers of a [`SharedSlowMemory`] through a work-stealing
+//!   queue of [`std::thread::scope`] threads. Each worker is a private,
+//!   capacity-checked fast memory with its own [`IoStats`] / [`Trace`]; the
+//!   groups it replays run through the same per-group code path as a serial
+//!   execution.
 //!
-//! Every mode additionally exists in a **prefetching** variant
-//! ([`Engine::execute_with`] / [`Engine::dry_run_with`] /
-//! [`Engine::trace_with`] / [`Engine::execute_parallel_with`]) taking an
-//! [`EngineConfig`]: with `lookahead = L > 0` the engine double-buffers the
-//! load stream, issuing the `Load` steps of up to `L` future task groups at
-//! the boundary of the current group — i.e. while the current group
-//! computes — whenever they fit in the capacity slack `S − footprint` and
-//! are legal to hoist (see [`crate::prefetch`] for the planner and its
-//! admission rules). Transfer *volumes* are unchanged; the prefetched share
-//! of the load stream is reported in [`IoStats::prefetched_elements`] /
-//! `prefetch_events` (overlapped vs stalled loads), and the residency cost
-//! of the lookahead shows up in `peak_resident`, which by planner
-//! construction never exceeds the machine capacity. `lookahead = 0` is
-//! bit-for-bit today's behaviour.
+//! The `*_with` entry points take an [`EngineConfig`]: with
+//! `lookahead = L > 0` the engine double-buffers the load stream, issuing
+//! the `Load` steps of up to `L` future task groups at the boundary of the
+//! current group — i.e. while the current group computes — whenever they fit
+//! in the capacity slack `S − footprint` and are legal to hoist (see
+//! [`crate::prefetch`] for the planner and its admission rules). Transfer
+//! *volumes* are unchanged; the prefetched share of the load stream is
+//! reported in [`IoStats::prefetched_elements`] / `prefetch_events`
+//! (overlapped vs stalled loads), and the residency cost of the lookahead
+//! shows up in `peak_resident`, which by planner construction never exceeds
+//! the machine capacity. `lookahead = 0` replays with the empty plan.
 //!
-//! The invariant tying the modes together (checked by the cross-crate
-//! equivalence tests): for any schedule `s`, machine `m` and config `c`,
-//! `execute_with(&mut m, &s, &c)` leaves `m.stats()` equal to
-//! `dry_run_with(&s, .., &c, m.capacity())` and `m.trace()` equal to
-//! `trace_with(&s, .., &c, m.capacity())`; and for any schedule whose groups
-//! are independent, `execute_parallel(&shared, &s, P, ..)` leaves the *sum*
-//! of the per-worker [`IoStats`] equal to `dry_run(&s)`, each worker's stats
-//! equal to the dry run of exactly the groups it processed, and the contents
-//! of the shared slow memory bitwise-identical to what a serial `execute`
-//! leaves behind.
+//! For any schedule whose groups are independent,
+//! `execute_parallel(&shared, &s, P, ..)` leaves the *sum* of the
+//! per-worker [`IoStats`] equal to `dry_run(&s)`, each worker's stats equal
+//! to the dry run of exactly the groups it processed, and the contents of
+//! the shared slow memory bitwise-identical to what a serial `execute`
+//! leaves behind (checked by the cross-crate equivalence tests).
 
 use crate::ir::{BufId, BufSlice, ComputeOp, Schedule, Step, TaskGroup};
 use crate::prefetch::{group_peak, hoistable_loads, PrefetchPlan};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use symla_matrix::kernels::micro::{ger_view_auto, spr_lower_view_auto};
@@ -63,8 +64,8 @@ use symla_matrix::kernels::views::{
 };
 use symla_matrix::{MatrixError, Scalar};
 use symla_memory::{
-    Direction, FastBuf, IoStats, MachineConfig, MachineModel, MachineOps, MemoryError,
-    SharedSlowMemory, Trace, TraceEvent,
+    FastBuf, IoStats, MachineConfig, MachineModel, MachineOps, MemoryError, SharedSlowMemory,
+    SymbolicMachine, Trace,
 };
 use symla_obs::{InstrumentedMachine, TraceRecorder};
 
@@ -81,6 +82,8 @@ pub enum EngineError {
     /// The caller passed an invalid argument (e.g. zero workers); nothing
     /// was replayed and no accounting exists.
     InvalidArgument(String),
+    /// A parallel worker's machine panicked; the message is the panic's.
+    WorkerPanicked(String),
 }
 
 impl fmt::Display for EngineError {
@@ -90,6 +93,7 @@ impl fmt::Display for EngineError {
             EngineError::Matrix(e) => write!(f, "kernel error: {e}"),
             EngineError::InvalidSchedule(msg) => write!(f, "invalid schedule: {msg}"),
             EngineError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            EngineError::WorkerPanicked(msg) => write!(f, "worker panicked: {msg}"),
         }
     }
 }
@@ -99,7 +103,9 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Memory(e) => Some(e),
             EngineError::Matrix(e) => Some(e),
-            EngineError::InvalidSchedule(_) | EngineError::InvalidArgument(_) => None,
+            EngineError::InvalidSchedule(_)
+            | EngineError::InvalidArgument(_)
+            | EngineError::WorkerPanicked(_) => None,
         }
     }
 }
@@ -118,6 +124,61 @@ impl From<MatrixError> for EngineError {
 
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;
+
+/// The resident buffers of a replay, by id: an ordered index over a slab of
+/// slots, so the per-step inserts and removes move an index rather than a
+/// whole [`FastBuf`]. (Ids can come from schedules read from outside the
+/// program, so the index is ordered, not hashed.)
+#[derive(Default)]
+struct Bufs<T: Scalar> {
+    index: BTreeMap<BufId, usize>,
+    slots: Vec<Option<FastBuf<T>>>,
+    free: Vec<usize>,
+}
+
+impl<T: Scalar> Bufs<T> {
+    fn insert(&mut self, id: BufId, buf: FastBuf<T>) {
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.slots[slot] = Some(buf);
+        if let Some(replaced) = self.index.insert(id, slot) {
+            self.slots[replaced] = None;
+            self.free.push(replaced);
+        }
+    }
+
+    fn remove(&mut self, id: &BufId) -> Option<FastBuf<T>> {
+        let slot = self.index.remove(id)?;
+        self.free.push(slot);
+        self.slots[slot].take()
+    }
+
+    fn get(&self, id: &BufId) -> Option<&FastBuf<T>> {
+        self.index
+            .get(id)
+            .and_then(|&slot| self.slots[slot].as_ref())
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The buffers still held, in id order.
+    fn into_values(self) -> impl Iterator<Item = FastBuf<T>> {
+        let Self {
+            index, mut slots, ..
+        } = self;
+        index
+            .into_values()
+            .filter_map(move |slot| slots[slot].take())
+    }
+}
 
 /// Buffers loaded ahead of their group, keyed by the `(group, step)`
 /// coordinate of the `Load` they stand in for (buffer ids are only unique
@@ -152,7 +213,7 @@ impl EngineConfig {
 }
 
 /// Accounting of one worker of an [`Engine::execute_parallel`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerRun {
     /// The worker's I/O statistics: exactly the dry-run accounting of the
     /// task groups in `groups` (asserted by the equivalence tests).
@@ -212,7 +273,8 @@ pub struct ParallelError {
     /// failures that never happened on a worker.
     pub worker: Option<usize>,
     /// Index (into [`Schedule::groups`]) of the task group that failed;
-    /// `None` when no group was ever attempted.
+    /// `None` when no group was ever attempted, or when a worker panicked
+    /// outside a group replay.
     pub group: Option<usize>,
     /// Per-worker accounting up to the abort. Workers that were mid-group
     /// when the abort flag rose finish that group normally, so every run
@@ -229,6 +291,7 @@ impl fmt::Display for ParallelError {
                 "worker {} failed on task group {}: {}",
                 worker, group, self.error
             ),
+            (Some(worker), None) => write!(f, "worker {worker} failed: {}", self.error),
             _ => write!(f, "parallel execution rejected: {}", self.error),
         }
     }
@@ -297,7 +360,7 @@ impl StealQueue {
     }
 }
 
-/// The schedule replayer. See the module docs for the five modes.
+/// The schedule replayer. See the module docs for its entry points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
@@ -317,21 +380,29 @@ fn short_segment(op: &str, got: usize, needed: usize) -> EngineError {
 /// labeled group before it, else `default` (the machine's phase at entry).
 /// Precomputed so prefetched loads can be charged to the phase of the group
 /// that consumes them, independent of where they are issued.
-fn effective_phases<T: Scalar>(schedule: &Schedule<T>, default: &str) -> Vec<String> {
-    let mut current = default.to_string();
+fn effective_phases<'a, T: Scalar>(schedule: &'a Schedule<T>, default: &'a str) -> Vec<&'a str> {
+    let mut current = default;
     schedule
         .groups
         .iter()
         .map(|group| {
             if let Some(phase) = &group.phase {
-                current = phase.clone();
+                current = phase;
             }
-            current.clone()
+            current
         })
         .collect()
 }
 
-fn slice_of<'a, T: Scalar>(bufs: &'a BTreeMap<BufId, FastBuf<T>>, s: &BufSlice) -> Result<&'a [T]> {
+/// The message of a caught panic.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    text.or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
+        .to_string()
+}
+
+fn slice_of<'a, T: Scalar>(bufs: &'a Bufs<T>, s: &BufSlice) -> Result<&'a [T]> {
     let buf = bufs.get(&s.buf).ok_or_else(|| missing(s.buf))?;
     buf.as_slice().get(s.start..s.start + s.len).ok_or_else(|| {
         EngineError::InvalidSchedule(format!(
@@ -412,31 +483,8 @@ impl Engine {
         schedule: &Schedule<T>,
         config: &EngineConfig,
     ) -> Result<()> {
-        let mut bufs: BTreeMap<BufId, FastBuf<T>> = BTreeMap::new();
-        let mut prefetched: PrefetchedBufs<T> = BTreeMap::new();
-        let outcome = if config.lookahead == 0 {
-            // Fast path: no plan, no phase table — exactly the historical
-            // serial replay (the per-group phase label semantics coincide
-            // with `effective_phases`, without one String per group).
-            Self::replay_plain(machine, schedule, &mut bufs, &mut prefetched)
-        } else {
-            let plan = PrefetchPlan::plan(schedule, config.lookahead, machine.capacity());
-            let phases = effective_phases(schedule, machine.phase());
-            Self::replay(
-                machine,
-                schedule,
-                &plan,
-                &phases,
-                &mut bufs,
-                &mut prefetched,
-            )
-        };
-        for buf in bufs.into_values().chain(prefetched.into_values()) {
-            // Release leaked buffers even when the replay failed; a discard
-            // can only fail for foreign buffers, which cannot be in `bufs`.
-            let _ = machine.discard(buf);
-        }
-        outcome
+        let plan = PrefetchPlan::plan(schedule, config.lookahead, machine.capacity());
+        Self::replay(machine, schedule, &plan, |_| {})
     }
 
     /// Replays `schedule` with an **already-computed** prefetch plan,
@@ -451,13 +499,31 @@ impl Engine {
     /// when its boundary count disagrees, and its per-step coordinates are
     /// validated during the replay.
     ///
-    /// An empty plan replays through the same fast path as
-    /// [`Engine::execute`]; results and accounting are identical to
-    /// `execute_with` at the lookahead the plan was computed for.
+    /// Results and accounting are identical to `execute_with` at the
+    /// lookahead the plan was computed for; the empty plan is the plain
+    /// serial replay.
     pub fn execute_planned<T: Scalar, M: MachineOps<T>>(
         machine: &mut M,
         schedule: &Schedule<T>,
         plan: &PrefetchPlan,
+    ) -> Result<()> {
+        Self::replay(machine, schedule, plan, |_| {})
+    }
+
+    /// The one serial replay loop behind every execution and analysis.
+    ///
+    /// Validates `plan` against `schedule`, then replays group by group: at
+    /// every boundary it first *fills* (issues the loads `plan` places
+    /// there, overlapping this group's compute in the two-phase model) and
+    /// then *drains* the group itself, calling `group_end` with the machine
+    /// after each group. Buffers a failed replay still holds are released
+    /// back to the machine (without store traffic), so its residency
+    /// accounting and leases stay consistent.
+    pub(crate) fn replay<T: Scalar, M: MachineOps<T>>(
+        machine: &mut M,
+        schedule: &Schedule<T>,
+        plan: &PrefetchPlan,
+        mut group_end: impl FnMut(&M),
     ) -> Result<()> {
         if !plan.is_empty() && plan.num_boundaries() != schedule.num_groups() {
             return Err(EngineError::InvalidArgument(format!(
@@ -483,91 +549,57 @@ impl Engine {
                 }
             }
         }
-        let mut bufs: BTreeMap<BufId, FastBuf<T>> = BTreeMap::new();
+        let default_phase = machine.phase().to_string();
+        let phases = effective_phases(schedule, &default_phase);
+        let mut bufs = Bufs::default();
         let mut prefetched: PrefetchedBufs<T> = BTreeMap::new();
-        let outcome = if plan.is_empty() {
-            Self::replay_plain(machine, schedule, &mut bufs, &mut prefetched)
-        } else {
-            let phases = effective_phases(schedule, machine.phase());
-            Self::replay(machine, schedule, plan, &phases, &mut bufs, &mut prefetched)
+        let mut run = || -> Result<()> {
+            for (g, group) in schedule.groups.iter().enumerate() {
+                machine.note_group_boundary();
+                machine.note_group_start(g);
+                // Fill: issue the loads planned at this boundary (they
+                // overlap with this group's compute in the two-phase model).
+                for issue in plan.issues_at(g) {
+                    let Step::Load {
+                        matrix,
+                        region,
+                        level,
+                        ..
+                    } = &schedule.groups[issue.group].steps[issue.step]
+                    else {
+                        return Err(EngineError::InvalidSchedule(format!(
+                            "prefetch plan targets non-load step {} of group {}",
+                            issue.step, issue.group
+                        )));
+                    };
+                    machine.set_phase(phases[issue.group]);
+                    let buf = machine.load_from(*matrix, region.clone(), *level)?;
+                    machine.note_prefetch(region.len());
+                    machine.note_prefetch_issue(issue.group, issue.step, region.len());
+                    prefetched.insert((issue.group, issue.step), buf);
+                }
+                // Drain: replay the group itself.
+                machine.set_phase(phases[g]);
+                Self::replay_group(machine, g, group, &mut bufs, &mut prefetched)?;
+                machine.note_group_end(g);
+                group_end(machine);
+            }
+            machine.note_group_boundary();
+            if !bufs.is_empty() || !prefetched.is_empty() {
+                return Err(EngineError::InvalidSchedule(format!(
+                    "{} buffer(s) left resident at end of schedule",
+                    bufs.len() + prefetched.len()
+                )));
+            }
+            Ok(())
         };
+        let outcome = run();
         for buf in bufs.into_values().chain(prefetched.into_values()) {
+            // A discard can only fail for foreign buffers, which cannot be
+            // in the tables.
             let _ = machine.discard(buf);
         }
         outcome
-    }
-
-    /// The non-prefetching serial replay (`lookahead = 0`).
-    fn replay_plain<T: Scalar, M: MachineOps<T>>(
-        machine: &mut M,
-        schedule: &Schedule<T>,
-        bufs: &mut BTreeMap<BufId, FastBuf<T>>,
-        prefetched: &mut PrefetchedBufs<T>,
-    ) -> Result<()> {
-        for (g, group) in schedule.groups.iter().enumerate() {
-            machine.note_group_boundary();
-            machine.note_group_start(g);
-            if let Some(phase) = &group.phase {
-                machine.set_phase(phase);
-            }
-            Self::replay_group(machine, g, group, bufs, prefetched)?;
-            machine.note_group_end(g);
-        }
-        machine.note_group_boundary();
-        if !bufs.is_empty() {
-            return Err(EngineError::InvalidSchedule(format!(
-                "{} buffer(s) left resident at end of schedule",
-                bufs.len()
-            )));
-        }
-        Ok(())
-    }
-
-    fn replay<T: Scalar, M: MachineOps<T>>(
-        machine: &mut M,
-        schedule: &Schedule<T>,
-        plan: &PrefetchPlan,
-        phases: &[String],
-        bufs: &mut BTreeMap<BufId, FastBuf<T>>,
-        prefetched: &mut PrefetchedBufs<T>,
-    ) -> Result<()> {
-        for (g, group) in schedule.groups.iter().enumerate() {
-            machine.note_group_boundary();
-            machine.note_group_start(g);
-            // Fill: issue the loads planned at this boundary (they overlap
-            // with this group's compute in the two-phase model).
-            for issue in plan.issues_at(g) {
-                let Step::Load {
-                    matrix,
-                    region,
-                    level,
-                    ..
-                } = &schedule.groups[issue.group].steps[issue.step]
-                else {
-                    return Err(EngineError::InvalidSchedule(format!(
-                        "prefetch plan targets non-load step {} of group {}",
-                        issue.step, issue.group
-                    )));
-                };
-                machine.set_phase(&phases[issue.group]);
-                let buf = machine.load_from(*matrix, region.clone(), *level)?;
-                machine.note_prefetch(region.len());
-                machine.note_prefetch_issue(issue.group, issue.step, region.len());
-                prefetched.insert((issue.group, issue.step), buf);
-            }
-            // Drain: replay the group itself.
-            machine.set_phase(&phases[g]);
-            Self::replay_group(machine, g, group, bufs, prefetched)?;
-            machine.note_group_end(g);
-        }
-        machine.note_group_boundary();
-        if !bufs.is_empty() || !prefetched.is_empty() {
-            return Err(EngineError::InvalidSchedule(format!(
-                "{} buffer(s) left resident at end of schedule",
-                bufs.len() + prefetched.len()
-            )));
-        }
-        Ok(())
     }
 
     /// Replays the steps of one task group. Shared verbatim between the
@@ -582,7 +614,7 @@ impl Engine {
         machine: &mut M,
         group_index: usize,
         group: &TaskGroup<T>,
-        bufs: &mut BTreeMap<BufId, FastBuf<T>>,
+        bufs: &mut Bufs<T>,
         prefetched: &mut PrefetchedBufs<T>,
     ) -> Result<()> {
         for (idx, step) in group.steps.iter().enumerate() {
@@ -620,7 +652,9 @@ impl Engine {
                 }
                 Step::Compute(op) => {
                     machine.note_compute(op.kind());
-                    Self::compute(bufs, op)?;
+                    if machine.holds_data() {
+                        Self::compute(bufs, op)?;
+                    }
                 }
             }
         }
@@ -814,12 +848,19 @@ impl Engine {
         };
         let queue = StealQueue::deal(schedule.groups.len(), workers);
         let abort = AtomicBool::new(false);
-        let failure: Mutex<Option<(usize, usize, EngineError)>> = Mutex::new(None);
+        let failure: Mutex<Option<(usize, Option<usize>, EngineError)>> = Mutex::new(None);
+        let fail = |worker: usize, group: Option<usize>, error: EngineError| {
+            failure
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .get_or_insert((worker, group, error));
+            abort.store(true, Ordering::Release);
+        };
 
         let runs: Vec<WorkerRun> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let (queue, abort, failure, analysis) = (&queue, &abort, &failure, &analysis);
+                    let (queue, abort, fail, analysis) = (&queue, &abort, &fail, &analysis);
                     let (build, finish) = (&build, &finish);
                     scope.spawn(move || {
                         let mut machine = build(w);
@@ -846,44 +887,47 @@ impl Engine {
                             machine.note_claim(g, stolen);
                             machine.note_group_start(g);
                             let group = &schedule.groups[g];
-                            if lookahead > 0 {
-                                Self::fill_worker_window(
+                            let mut bufs = Bufs::default();
+                            // A panicking machine fails this group like an
+                            // error would, so its buffers are still released.
+                            let mut outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                                if lookahead > 0 {
+                                    Self::fill_worker_window(
+                                        &mut machine,
+                                        schedule,
+                                        analysis,
+                                        g,
+                                        &pending,
+                                        default_phase,
+                                        &mut prefetched,
+                                    );
+                                }
+                                machine.set_phase(group.phase.as_deref().unwrap_or(default_phase));
+                                Self::replay_group(
                                     &mut machine,
-                                    schedule,
-                                    analysis,
                                     g,
-                                    &pending,
-                                    default_phase,
+                                    group,
+                                    &mut bufs,
                                     &mut prefetched,
-                                );
-                            }
-                            machine.set_phase(group.phase.as_deref().unwrap_or(default_phase));
-                            let mut bufs = BTreeMap::new();
-                            let mut outcome = Self::replay_group(
-                                &mut machine,
-                                g,
-                                group,
-                                &mut bufs,
-                                &mut prefetched,
-                            );
+                                )
+                            }))
+                            .unwrap_or_else(|payload| {
+                                Err(EngineError::WorkerPanicked(panic_message(&*payload)))
+                            });
                             if outcome.is_ok() && !bufs.is_empty() {
                                 outcome = Err(EngineError::InvalidSchedule(format!(
                                     "{} buffer(s) left resident at end of task group {g}",
                                     bufs.len()
                                 )));
                             }
-                            for (_, buf) in bufs {
+                            for buf in bufs.into_values() {
                                 let _ = machine.discard(buf);
                             }
                             machine.note_group_end(g);
                             match outcome {
                                 Ok(()) => groups.push(g),
                                 Err(error) => {
-                                    failure
-                                        .lock()
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                        .get_or_insert((w, g, error));
-                                    abort.store(true, Ordering::Release);
+                                    fail(w, Some(g), error);
                                     break;
                                 }
                             }
@@ -905,7 +949,16 @@ impl Engine {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("parallel worker panicked"))
+                .enumerate()
+                .map(|(w, h)| {
+                    // A panic outside a group replay loses the worker's
+                    // accounting along with its machine.
+                    h.join().unwrap_or_else(|payload| {
+                        let error = EngineError::WorkerPanicked(panic_message(&*payload));
+                        fail(w, None, error);
+                        WorkerRun::default()
+                    })
+                })
                 .collect()
         });
 
@@ -916,7 +969,7 @@ impl Engine {
             Some((worker, group, error)) => Err(ParallelError {
                 error,
                 worker: Some(worker),
-                group: Some(group),
+                group,
                 runs,
             }),
             None => Ok(runs),
@@ -987,7 +1040,7 @@ impl Engine {
     /// The destination buffer is taken out of the table for the duration of
     /// the kernel so operand slices (which may alias each other, but never
     /// the destination) can be borrowed immutably.
-    fn compute<T: Scalar>(bufs: &mut BTreeMap<BufId, FastBuf<T>>, op: &ComputeOp<T>) -> Result<()> {
+    fn compute<T: Scalar>(bufs: &mut Bufs<T>, op: &ComputeOp<T>) -> Result<()> {
         let dst_id = match op {
             ComputeOp::Ger { dst, .. }
             | ComputeOp::SprLower { dst, .. }
@@ -1005,7 +1058,7 @@ impl Engine {
     }
 
     fn compute_on<T: Scalar>(
-        bufs: &BTreeMap<BufId, FastBuf<T>>,
+        bufs: &Bufs<T>,
         op: &ComputeOp<T>,
         dst: &mut FastBuf<T>,
     ) -> Result<()> {
@@ -1144,10 +1197,12 @@ impl Engine {
         Ok(())
     }
 
-    /// Replays only the accounting of `schedule`: the returned [`IoStats`]
-    /// equal what [`Engine::execute`] would leave in the machine's counters
-    /// (same loads, stores, events, flops, peak residency and per-phase
-    /// attribution), computed without data or capacity limits.
+    /// Replays `schedule` against a data-less [`SymbolicMachine`]: the
+    /// returned [`IoStats`] are what [`Engine::execute`] leaves in a
+    /// machine's counters (same loads, stores, events, flops, peak residency
+    /// and per-phase attribution) — by construction, since both machines
+    /// count through the same ledger — computed without data or capacity
+    /// limits. A step the replay rejects ends the accounting there.
     ///
     /// Transfers of groups with no phase label are attributed to
     /// `default_phase` — pass the machine's current phase (usually
@@ -1171,50 +1226,7 @@ impl Engine {
     /// assert_eq!(stats.phase("main").loads, 12);
     /// ```
     pub fn dry_run<T: Scalar>(schedule: &Schedule<T>, default_phase: &str) -> IoStats {
-        let mut stats = IoStats::new();
-        let mut sizes: BTreeMap<BufId, usize> = BTreeMap::new();
-        let mut resident = 0usize;
-        let mut phase = default_phase.to_string();
-        for group in &schedule.groups {
-            if let Some(p) = &group.phase {
-                phase = p.clone();
-            }
-            for step in &group.steps {
-                match step {
-                    Step::Load {
-                        region, dst, level, ..
-                    } => {
-                        let elements = region.len();
-                        resident += elements;
-                        stats.observe_resident(resident);
-                        stats.record_load(elements, &phase);
-                        if !level.is_default() {
-                            stats.record_level_load(level.raw(), elements);
-                        }
-                        sizes.insert(*dst, elements);
-                    }
-                    Step::Alloc { region, dst, .. } => {
-                        resident += region.len();
-                        stats.observe_resident(resident);
-                        sizes.insert(*dst, region.len());
-                    }
-                    Step::Flops(flops) => stats.record_flops(*flops),
-                    Step::Store { buf, level } => {
-                        let elements = sizes.remove(buf).unwrap_or(0);
-                        resident -= elements;
-                        stats.record_store(elements, &phase);
-                        if !level.is_default() {
-                            stats.record_level_store(level.raw(), elements);
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        resident -= sizes.remove(buf).unwrap_or(0);
-                    }
-                    Step::Compute(_) => {}
-                }
-            }
-        }
-        stats
+        Self::dry_run_with(schedule, default_phase, &EngineConfig::default(), None)
     }
 
     /// [`Engine::dry_run`] of the **prefetching** replay: models the exact
@@ -1256,73 +1268,9 @@ impl Engine {
         config: &EngineConfig,
         capacity: Option<usize>,
     ) -> IoStats {
-        if config.lookahead == 0 {
-            return Self::dry_run(schedule, default_phase);
-        }
-        let plan = PrefetchPlan::plan(schedule, config.lookahead, capacity);
-        let phases = effective_phases(schedule, default_phase);
-        let mut stats = IoStats::new();
-        let mut sizes: BTreeMap<BufId, usize> = BTreeMap::new();
-        let mut pre_sizes: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut resident = 0usize;
-        for (g, group) in schedule.groups.iter().enumerate() {
-            for issue in plan.issues_at(g) {
-                let Step::Load { region, level, .. } =
-                    &schedule.groups[issue.group].steps[issue.step]
-                else {
-                    unreachable!("prefetch plans only target load steps");
-                };
-                let elements = region.len();
-                resident += elements;
-                stats.observe_resident(resident);
-                stats.record_load(elements, &phases[issue.group]);
-                if !level.is_default() {
-                    stats.record_level_load(level.raw(), elements);
-                }
-                stats.note_prefetch(elements);
-                pre_sizes.insert((issue.group, issue.step), elements);
-            }
-            for (idx, step) in group.steps.iter().enumerate() {
-                match step {
-                    Step::Load {
-                        region, dst, level, ..
-                    } => {
-                        if let Some(elements) = pre_sizes.remove(&(g, idx)) {
-                            // resident and counted since its issue boundary
-                            sizes.insert(*dst, elements);
-                            continue;
-                        }
-                        let elements = region.len();
-                        resident += elements;
-                        stats.observe_resident(resident);
-                        stats.record_load(elements, &phases[g]);
-                        if !level.is_default() {
-                            stats.record_level_load(level.raw(), elements);
-                        }
-                        sizes.insert(*dst, elements);
-                    }
-                    Step::Alloc { region, dst, .. } => {
-                        resident += region.len();
-                        stats.observe_resident(resident);
-                        sizes.insert(*dst, region.len());
-                    }
-                    Step::Flops(flops) => stats.record_flops(*flops),
-                    Step::Store { buf, level } => {
-                        let elements = sizes.remove(buf).unwrap_or(0);
-                        resident -= elements;
-                        stats.record_store(elements, &phases[g]);
-                        if !level.is_default() {
-                            stats.record_level_store(level.raw(), elements);
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        resident -= sizes.remove(buf).unwrap_or(0);
-                    }
-                    Step::Compute(_) => {}
-                }
-            }
-        }
-        stats
+        Self::replay_symbolic(schedule, default_phase, config, capacity, false)
+            .into_accounting()
+            .0
     }
 
     /// Synthesizes the transfer trace of `schedule`: the returned [`Trace`]
@@ -1344,62 +1292,7 @@ impl Engine {
     /// assert_eq!(trace.events()[1].resident_after, 0);
     /// ```
     pub fn trace<T: Scalar>(schedule: &Schedule<T>, default_phase: &str) -> Trace {
-        let mut trace = Trace::new();
-        let mut meta: BTreeMap<BufId, (u64, symla_memory::Region)> = BTreeMap::new();
-        let mut resident = 0usize;
-        let mut phase = default_phase.to_string();
-        for group in &schedule.groups {
-            if let Some(p) = &group.phase {
-                phase = p.clone();
-            }
-            for step in &group.steps {
-                match step {
-                    Step::Load {
-                        matrix,
-                        region,
-                        dst,
-                        ..
-                    } => {
-                        resident += region.len();
-                        trace.push(TraceEvent {
-                            direction: Direction::Load,
-                            matrix: matrix.raw(),
-                            region: region.clone(),
-                            phase: phase.clone(),
-                            resident_after: resident,
-                        });
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Alloc {
-                        matrix,
-                        region,
-                        dst,
-                    } => {
-                        resident += region.len();
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Store { buf, .. } => {
-                        if let Some((matrix, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                            trace.push(TraceEvent {
-                                direction: Direction::Store,
-                                matrix,
-                                region,
-                                phase: phase.clone(),
-                                resident_after: resident,
-                            });
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        if let Some((_, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                        }
-                    }
-                    Step::Flops(_) | Step::Compute(_) => {}
-                }
-            }
-        }
-        trace
+        Self::trace_with(schedule, default_phase, &EngineConfig::default(), None)
     }
 
     /// [`Engine::trace`] of the **prefetching** replay: the synthesized
@@ -1413,85 +1306,29 @@ impl Engine {
         config: &EngineConfig,
         capacity: Option<usize>,
     ) -> Trace {
-        if config.lookahead == 0 {
-            return Self::trace(schedule, default_phase);
-        }
+        Self::replay_symbolic(schedule, default_phase, config, capacity, true)
+            .into_accounting()
+            .1
+            .unwrap_or_default()
+    }
+
+    /// Replays `schedule` on a [`SymbolicMachine`] of unchecked capacity,
+    /// under the prefetch plan a machine of `capacity` would use at
+    /// `config`'s lookahead. A step the replay rejects ends the accounting
+    /// there.
+    fn replay_symbolic<T: Scalar>(
+        schedule: &Schedule<T>,
+        default_phase: &str,
+        config: &EngineConfig,
+        capacity: Option<usize>,
+        record_trace: bool,
+    ) -> SymbolicMachine<T> {
+        let mut machine =
+            SymbolicMachine::new(MachineConfig::unlimited().record_trace(record_trace));
+        machine.set_phase(default_phase);
         let plan = PrefetchPlan::plan(schedule, config.lookahead, capacity);
-        let phases = effective_phases(schedule, default_phase);
-        let mut trace = Trace::new();
-        let mut meta: BTreeMap<BufId, (u64, symla_memory::Region)> = BTreeMap::new();
-        let mut pre_meta: BTreeMap<(usize, usize), (u64, symla_memory::Region)> = BTreeMap::new();
-        let mut resident = 0usize;
-        for (g, group) in schedule.groups.iter().enumerate() {
-            for issue in plan.issues_at(g) {
-                let Step::Load { matrix, region, .. } =
-                    &schedule.groups[issue.group].steps[issue.step]
-                else {
-                    unreachable!("prefetch plans only target load steps");
-                };
-                resident += region.len();
-                trace.push(TraceEvent {
-                    direction: Direction::Load,
-                    matrix: matrix.raw(),
-                    region: region.clone(),
-                    phase: phases[issue.group].clone(),
-                    resident_after: resident,
-                });
-                pre_meta.insert((issue.group, issue.step), (matrix.raw(), region.clone()));
-            }
-            for (idx, step) in group.steps.iter().enumerate() {
-                match step {
-                    Step::Load {
-                        matrix,
-                        region,
-                        dst,
-                        ..
-                    } => {
-                        if let Some(entry) = pre_meta.remove(&(g, idx)) {
-                            // transferred at its issue boundary
-                            meta.insert(*dst, entry);
-                            continue;
-                        }
-                        resident += region.len();
-                        trace.push(TraceEvent {
-                            direction: Direction::Load,
-                            matrix: matrix.raw(),
-                            region: region.clone(),
-                            phase: phases[g].clone(),
-                            resident_after: resident,
-                        });
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Alloc {
-                        matrix,
-                        region,
-                        dst,
-                    } => {
-                        resident += region.len();
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Store { buf, .. } => {
-                        if let Some((matrix, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                            trace.push(TraceEvent {
-                                direction: Direction::Store,
-                                matrix,
-                                region,
-                                phase: phases[g].clone(),
-                                resident_after: resident,
-                            });
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        if let Some((_, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                        }
-                    }
-                    Step::Flops(_) | Step::Compute(_) => {}
-                }
-            }
-        }
-        trace
+        let _ = Self::execute_planned(&mut machine, schedule, &plan);
+        machine
     }
 }
 
@@ -2053,6 +1890,90 @@ mod tests {
                 assert_eq!(got, expected, "{ctx}");
             }
         }
+    }
+
+    /// A worker machine that panics when it is asked to load `poison`.
+    struct PanicsOnLoad<'m> {
+        inner: symla_memory::WorkerMachine<'m, f64>,
+        poison: Region,
+    }
+
+    impl MachineOps<f64> for PanicsOnLoad<'_> {
+        fn load(&mut self, id: MatrixId, region: Region) -> symla_memory::Result<FastBuf<f64>> {
+            assert!(region != self.poison, "injected load failure");
+            self.inner.load(id, region)
+        }
+        fn allocate_zeroed(
+            &mut self,
+            id: MatrixId,
+            region: Region,
+        ) -> symla_memory::Result<FastBuf<f64>> {
+            self.inner.allocate_zeroed(id, region)
+        }
+        fn store(&mut self, buf: FastBuf<f64>) -> symla_memory::Result<()> {
+            self.inner.store(buf)
+        }
+        fn discard(&mut self, buf: FastBuf<f64>) -> symla_memory::Result<()> {
+            self.inner.discard(buf)
+        }
+        fn record_flops(&mut self, flops: FlopCount) {
+            self.inner.record_flops(flops);
+        }
+        fn set_phase(&mut self, phase: &str) {
+            self.inner.set_phase(phase);
+        }
+        fn phase(&self) -> &str {
+            MachineOps::phase(&self.inner)
+        }
+        fn capacity(&self) -> Option<usize> {
+            MachineOps::capacity(&self.inner)
+        }
+        fn note_prefetch(&mut self, elements: usize) {
+            self.inner.note_prefetch(elements);
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_run_instead_of_the_caller() {
+        let n = 24;
+        let a = Matrix::<f64>::from_fn(n, n, |i, j| (i * n + j) as f64);
+        let schedule = diagonal_block_schedule(MatrixId::synthetic(0), n, 4);
+        let shared = SharedSlowMemory::new();
+        let id = shared.insert_dense(a);
+        // Whichever worker claims group 3 panics on that group's first load.
+        let err = Engine::execute_parallel_core(
+            &schedule,
+            2,
+            0,
+            "main",
+            |_| PanicsOnLoad {
+                inner: shared.worker(MachineConfig::with_capacity(20)),
+                poison: Region::rect(12, 12, 4, 4),
+            },
+            |m| m.inner.into_accounting(),
+        )
+        .unwrap_err();
+
+        let failing = err.worker.expect("the error names the worker");
+        assert_eq!(err.group, Some(3));
+        assert!(matches!(&err.error, EngineError::WorkerPanicked(msg) if msg.contains("injected")));
+        assert!(
+            err.to_string().contains(&format!("worker {failing}")),
+            "{err}"
+        );
+        // Every worker's accounting is kept: each equals the dry run of the
+        // groups it completed (the poisoned load moved nothing).
+        assert_eq!(err.runs.len(), 2);
+        for (w, run) in err.runs.iter().enumerate() {
+            assert!(!run.groups.contains(&3));
+            assert_eq!(
+                run.stats,
+                dry_run_of_groups(&schedule, &run.groups),
+                "worker {w}"
+            );
+        }
+        // No lease was left behind.
+        assert!(shared.take_dense(id).is_ok());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! [`Step::Alloc`] / [`Step::Store`] / [`Step::Discard`]) and run block
 //! kernels on the resident buffers ([`Step::Compute`]). The algorithms of
 //! `symla-baselines` and `symla-core` are *schedule builders* that emit this
-//! IR; the generic [`crate::engine::Engine`] then replays a schedule in one
-//! of five modes (execute, execute-parallel, dry-run, trace, and the
-//! prefetching `*_with` variants).
+//! IR; the generic [`crate::engine::Engine`] then replays a schedule through
+//! one loop against a real, parallel or data-less machine (execute,
+//! execute-parallel, dry-run, trace, and the prefetching `*_with`
+//! variants).
 //!
 //! Schedules serialize to a compact one-line-per-step text form
 //! ([`Schedule::dump`]) and parse back losslessly ([`Schedule::parse`]), so

@@ -25,6 +25,7 @@ use super::analysis::{
     buffer_table, remap_op, residency_profile, BufInfo, CellSet, ConsumeKind, OriginKind,
 };
 use super::{Pass, PassReport, Result};
+use crate::engine::Engine;
 use crate::ir::{BufId, Schedule, Step};
 use std::collections::HashMap;
 use symla_matrix::Scalar;
@@ -54,7 +55,9 @@ impl<T: Scalar> Pass<T> for MergeLoads {
     }
 
     fn run(&self, mut schedule: Schedule<T>) -> Result<(Schedule<T>, PassReport)> {
-        let cap = self.budget.unwrap_or_else(|| schedule_peak(&schedule));
+        let cap = self
+            .budget
+            .unwrap_or_else(|| Engine::dry_run(&schedule, "main").peak_resident);
         let mut report = PassReport::new("merge-loads");
         // Buffers may straddle groups in legacy serial schedules: track the
         // carried residency so per-group profiles stay exact.
@@ -80,29 +83,6 @@ impl<T: Scalar> Pass<T> for MergeLoads {
         }
         Ok((schedule, report))
     }
-}
-
-/// Peak residency of the schedule (what `Engine::dry_run` reports as
-/// `peak_resident`), from a single walk over the steps — no accounting
-/// replay needed.
-fn schedule_peak<T: Scalar>(schedule: &Schedule<T>) -> usize {
-    let mut sizes: HashMap<BufId, usize> = HashMap::new();
-    let mut resident = 0usize;
-    let mut peak = 0usize;
-    for step in schedule.groups.iter().flat_map(|g| g.steps.iter()) {
-        match step {
-            Step::Load { region, dst, .. } | Step::Alloc { region, dst, .. } => {
-                sizes.insert(*dst, region.len());
-                resident += region.len();
-                peak = peak.max(resident);
-            }
-            Step::Store { buf, .. } | Step::Discard { buf } => {
-                resident -= sizes.remove(buf).unwrap_or(0);
-            }
-            _ => {}
-        }
-    }
-    peak
 }
 
 /// Whether a buffer can serve as a reuse source / alias target: loaded from

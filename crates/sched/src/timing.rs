@@ -1,35 +1,42 @@
 //! Modelled wall-clock time of a schedule replay, without executing it.
 //!
-//! [`modelled_time`] walks a [`Schedule`] with exactly the bookkeeping of
-//! [`Engine::dry_run_with`](crate::Engine::dry_run_with) and prices every
-//! event against a [`MachineModel`], bucketing costs into the per-group
-//! windows of the engine's two-phase overlap model (see
-//! [`TimeStats::add_window`]): within one window, prefetched loads overlap
-//! the window's compute, demand loads and stores do not.
+//! Every function here replays the schedule through the engine's one replay
+//! loop against a data-less [`SymbolicMachine`] wrapped in a pricing
+//! decorator:
 //!
-//! The result is **bitwise-equal** (as `f64`s) to what a
-//! [`LatencyMachine`](symla_memory::LatencyMachine) wrapping a real machine
-//! accumulates during [`Engine::execute_with`](crate::Engine::execute_with)
-//! of the same schedule under the same model, lookahead and capacity — both
-//! walk the same events in the same order and add the same costs into the
-//! same accumulators. The cross-crate test `tests/wallclock_model.rs`
-//! asserts this for every builder; it is the timing analogue of the
-//! `execute == dry_run` stats invariant.
+//! * [`modelled_time`] and [`modelled_time_planned`] wrap it in a
+//!   [`LatencyMachine`] and read its [`TimeStats`]: per-group windows of the
+//!   engine's two-phase overlap model (see [`TimeStats::add_window`]), where
+//!   prefetched loads overlap the window's compute and demand loads and
+//!   stores do not;
+//! * [`modelled_group_times`] reads each group's window contribution off the
+//!   same machine's [`ModelClock`](symla_memory::ModelClock) as the group
+//!   ends;
+//! * [`modelled_run_trace`] wraps it in an [`InstrumentedMachine`] whose
+//!   observer keeps no real clock.
+//!
+//! A [`LatencyMachine`] wrapping a real machine during
+//! [`Engine::execute_with`] under the same model, lookahead and capacity
+//! therefore accumulates bitwise the same `f64`s: both replays make the same
+//! machine calls in the same order and price them on the same clock. The
+//! cross-crate test `tests/wallclock_model.rs` checks this for every
+//! builder.
 
-use crate::ir::{Schedule, Step};
+use crate::engine::{Engine, EngineError};
+use crate::ir::Schedule;
 use crate::prefetch::PrefetchPlan;
-use std::collections::BTreeMap;
 use symla_matrix::Scalar;
-use symla_memory::{MachineModel, TimeStats};
-use symla_obs::{EventKind, ModelClock, ObsRecord, RunTrace};
+use symla_memory::{LatencyMachine, MachineConfig, MachineModel, SymbolicMachine, TimeStats};
+use symla_obs::{ExecutionObserver, InstrumentedMachine, ObsRecord, RunTrace, TraceRecorder};
 
-/// Models the wall-clock of [`Engine::execute_with`](crate::Engine::execute_with)
-/// on a machine of `capacity`, pricing transfers and flops with `model`.
+/// Models the wall-clock of [`Engine::execute_with`] on a machine of
+/// `capacity`, pricing transfers and flops with `model`.
 ///
 /// `lookahead = 0` models the plain serial replay (every load is a demand
 /// load; nothing overlaps). With `lookahead = L > 0` the same
 /// [`PrefetchPlan`] the engine would compute decides which loads are issued
-/// at a group boundary and therefore overlap that group's compute.
+/// at a group boundary and therefore overlap that group's compute. A step
+/// the replay rejects (a malformed schedule) ends the pricing there.
 ///
 /// ```
 /// use symla_memory::{MachineModel, MatrixId, Region};
@@ -59,82 +66,35 @@ pub fn modelled_time<T: Scalar>(
     lookahead: usize,
     capacity: Option<usize>,
 ) -> TimeStats {
-    let plan = if lookahead == 0 {
-        PrefetchPlan::default()
-    } else {
-        PrefetchPlan::plan(schedule, lookahead, capacity)
-    };
-    modelled_time_planned(schedule, model, &plan)
+    let plan = PrefetchPlan::plan(schedule, lookahead, capacity);
+    let mut machine = priced(model);
+    let _ = Engine::execute_planned(&mut machine, schedule, &plan);
+    machine.time()
 }
 
 /// [`modelled_time`] with an already-computed [`PrefetchPlan`] (the
-/// modelled-time analogue of
-/// [`Engine::execute_planned`](crate::Engine::execute_planned)). An empty
-/// plan models the plain serial replay.
+/// modelled-time analogue of [`Engine::execute_planned`], which also
+/// rejects a plan computed for another schedule). An empty plan models the
+/// plain serial replay.
 pub fn modelled_time_planned<T: Scalar>(
     schedule: &Schedule<T>,
     model: &MachineModel,
     plan: &PrefetchPlan,
-) -> TimeStats {
-    let mut time = TimeStats::default();
-    let mut sizes: BTreeMap<crate::ir::BufId, usize> = BTreeMap::new();
-    for (g, group) in schedule.groups.iter().enumerate() {
-        // One window per group, mirroring the engine's
-        // `note_group_boundary` cadence: the loads issued at this group's
-        // boundary overlap this group's compute; everything else is serial.
-        let mut demand_ns = 0.0_f64;
-        let mut prefetch_ns = 0.0_f64;
-        let mut compute_ns = 0.0_f64;
-        for issue in plan.issues_at(g) {
-            let Step::Load { region, level, .. } = &schedule.groups[issue.group].steps[issue.step]
-            else {
-                unreachable!("prefetch plans only target load steps");
-            };
-            prefetch_ns += model.load_ns_at(*level, region.len());
-        }
-        for (idx, step) in group.steps.iter().enumerate() {
-            match step {
-                Step::Load {
-                    region, dst, level, ..
-                } => {
-                    sizes.insert(*dst, region.len());
-                    if !plan.is_prefetched(g, idx) {
-                        demand_ns += model.load_ns_at(*level, region.len());
-                    }
-                }
-                Step::Alloc { region, dst, .. } => {
-                    // Allocation moves no data: free, like the machine's
-                    // `allocate_zeroed`. The eventual store is priced.
-                    sizes.insert(*dst, region.len());
-                }
-                Step::Flops(flops) => compute_ns += model.compute_ns(flops.total()),
-                Step::Store { buf, level } => {
-                    demand_ns += model.store_ns_at(*level, sizes.remove(buf).unwrap_or(0));
-                }
-                Step::Discard { buf } => {
-                    sizes.remove(buf);
-                }
-                Step::Compute(_) => {}
-            }
-        }
-        time.add_window(demand_ns, prefetch_ns, compute_ns);
-    }
-    time
+) -> Result<TimeStats, EngineError> {
+    let mut machine = priced(model);
+    Engine::execute_planned(&mut machine, schedule, plan)?;
+    Ok(machine.time())
 }
 
-/// Synthesizes the [`RunTrace`] a serial
-/// [`Engine::execute_with`](crate::Engine::execute_with) on an
-/// [`InstrumentedMachine`](symla_obs::InstrumentedMachine) would record,
-/// without executing anything — the observability analogue of
-/// [`Engine::trace`](crate::Engine::trace).
+/// Synthesizes the [`RunTrace`] a serial [`Engine::execute_with`] on an
+/// [`InstrumentedMachine`] would record, without executing anything — the
+/// observability analogue of [`Engine::trace`].
 ///
-/// The walker replays the engine's exact event cadence (boundary → group
-/// start → prefetch issues → steps → group end) against a
-/// [`ModelClock`], charging costs in the same floating-point operation
-/// order as a real replay, so the synthesized events match an executed
-/// trace **bitwise** in their modelled timestamps and exactly in kind and
-/// order. Real-clock stamps are `0` (nothing ran) and all events sit on
-/// worker track `0`; exporting both traces with
+/// The replay is the engine's own, against a [`SymbolicMachine`] wrapped in
+/// an `InstrumentedMachine`, so the synthesized events match an executed
+/// trace exactly in kind and order and bitwise in their modelled
+/// timestamps. Real-clock stamps are `0` (nothing ran) and all events sit
+/// on worker track `0`; exporting both traces with
 /// [`TimeBase::Modelled`](symla_obs::TimeBase) yields byte-identical
 /// documents — the `ab_obs` gate asserts exactly that.
 pub fn modelled_run_trace<T: Scalar>(
@@ -143,114 +103,12 @@ pub fn modelled_run_trace<T: Scalar>(
     lookahead: usize,
     capacity: Option<usize>,
 ) -> RunTrace {
-    let plan = if lookahead == 0 {
-        PrefetchPlan::default()
-    } else {
-        PrefetchPlan::plan(schedule, lookahead, capacity)
-    };
-    fn rec(clock: &ModelClock, kind: EventKind) -> ObsRecord {
-        ObsRecord {
-            worker: 0,
-            real_ns: 0,
-            model_ns: clock.now_ns(),
-            kind,
-        }
-    }
-    let mut clock = ModelClock::new();
-    let mut events: Vec<ObsRecord> = Vec::new();
-    let mut sizes: BTreeMap<crate::ir::BufId, usize> = BTreeMap::new();
-    for (g, group) in schedule.groups.iter().enumerate() {
-        clock.settle();
-        events.push(rec(&clock, EventKind::GroupStart { group: g }));
-        for issue in plan.issues_at(g) {
-            let Step::Load { region, level, .. } = &schedule.groups[issue.group].steps[issue.step]
-            else {
-                unreachable!("prefetch plans only target load steps");
-            };
-            clock.charge_load(model.load_ns_at(*level, region.len()));
-            clock.reclassify_last_load();
-            events.push(rec(
-                &clock,
-                EventKind::Load {
-                    elements: region.len(),
-                    prefetched: true,
-                    level: level.raw(),
-                },
-            ));
-            events.push(rec(
-                &clock,
-                EventKind::PrefetchIssue {
-                    group: issue.group,
-                    step: issue.step,
-                    elements: region.len(),
-                },
-            ));
-        }
-        for (idx, step) in group.steps.iter().enumerate() {
-            match step {
-                Step::Load {
-                    region, dst, level, ..
-                } => {
-                    sizes.insert(*dst, region.len());
-                    if plan.is_prefetched(g, idx) {
-                        // The load itself was issued (and recorded) at an
-                        // earlier boundary; its consumption is a handoff.
-                        events.push(rec(
-                            &clock,
-                            EventKind::PrefetchDelivery {
-                                group: g,
-                                step: idx,
-                            },
-                        ));
-                    } else {
-                        clock.charge_load(model.load_ns_at(*level, region.len()));
-                        events.push(rec(
-                            &clock,
-                            EventKind::Load {
-                                elements: region.len(),
-                                prefetched: false,
-                                level: level.raw(),
-                            },
-                        ));
-                    }
-                }
-                Step::Alloc { region, dst, .. } => {
-                    sizes.insert(*dst, region.len());
-                    events.push(rec(
-                        &clock,
-                        EventKind::Alloc {
-                            elements: region.len(),
-                        },
-                    ));
-                }
-                Step::Flops(flops) => {
-                    clock.charge_compute(model.compute_ns(flops.total()));
-                    events.push(rec(&clock, EventKind::flops(*flops)));
-                }
-                Step::Compute(op) => {
-                    events.push(rec(&clock, EventKind::Compute { kind: op.kind() }));
-                }
-                Step::Store { buf, level } => {
-                    let elements = sizes.remove(buf).unwrap_or(0);
-                    clock.charge_store(model.store_ns_at(*level, elements));
-                    events.push(rec(
-                        &clock,
-                        EventKind::Store {
-                            elements,
-                            level: level.raw(),
-                        },
-                    ));
-                }
-                Step::Discard { buf } => {
-                    let elements = sizes.remove(buf).unwrap_or(0);
-                    events.push(rec(&clock, EventKind::Discard { elements }));
-                }
-            }
-        }
-        events.push(rec(&clock, EventKind::GroupEnd { group: g }));
-    }
-    clock.settle();
-    RunTrace::from_events(events)
+    let plan = PrefetchPlan::plan(schedule, lookahead, capacity);
+    let recorder = TraceRecorder::new();
+    let symbolic = SymbolicMachine::<T>::new(MachineConfig::unlimited());
+    let mut machine = InstrumentedMachine::new(symbolic, *model, Unclocked(recorder.clone()), 0);
+    let _ = Engine::execute_planned(&mut machine, schedule, &plan);
+    recorder.finish()
 }
 
 /// Per-group wall-clock contributions under the same window model as
@@ -268,46 +126,28 @@ pub fn modelled_group_times<T: Scalar>(
     schedule: &Schedule<T>,
     model: &MachineModel,
     plan: &PrefetchPlan,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(schedule.groups.len());
-    let mut sizes: BTreeMap<crate::ir::BufId, usize> = BTreeMap::new();
-    for (g, group) in schedule.groups.iter().enumerate() {
-        let mut demand_ns = 0.0_f64;
-        let mut prefetch_ns = 0.0_f64;
-        let mut compute_ns = 0.0_f64;
-        for issue in plan.issues_at(g) {
-            let Step::Load { region, level, .. } = &schedule.groups[issue.group].steps[issue.step]
-            else {
-                unreachable!("prefetch plans only target load steps");
-            };
-            prefetch_ns += model.load_ns_at(*level, region.len());
-        }
-        for (idx, step) in group.steps.iter().enumerate() {
-            match step {
-                Step::Load {
-                    region, dst, level, ..
-                } => {
-                    sizes.insert(*dst, region.len());
-                    if !plan.is_prefetched(g, idx) {
-                        demand_ns += model.load_ns_at(*level, region.len());
-                    }
-                }
-                Step::Alloc { region, dst, .. } => {
-                    sizes.insert(*dst, region.len());
-                }
-                Step::Flops(flops) => compute_ns += model.compute_ns(flops.total()),
-                Step::Store { buf, level } => {
-                    demand_ns += model.store_ns_at(*level, sizes.remove(buf).unwrap_or(0));
-                }
-                Step::Discard { buf } => {
-                    sizes.remove(buf);
-                }
-                Step::Compute(_) => {}
-            }
-        }
-        out.push(demand_ns + prefetch_ns.max(compute_ns));
+) -> Result<Vec<f64>, EngineError> {
+    let mut machine = priced(model);
+    let mut windows = Vec::with_capacity(schedule.num_groups());
+    Engine::replay(&mut machine, schedule, plan, |m| {
+        windows.push(m.clock().window_ns())
+    })?;
+    Ok(windows)
+}
+
+/// A data-less machine of unchecked capacity, priced with `model`.
+fn priced<T: Scalar>(model: &MachineModel) -> LatencyMachine<T, SymbolicMachine<T>> {
+    LatencyMachine::new(SymbolicMachine::new(MachineConfig::unlimited()), *model)
+}
+
+/// Forwards records to a [`TraceRecorder`] without reading its real clock,
+/// so every real stamp of a synthesized trace is `0`.
+struct Unclocked(TraceRecorder);
+
+impl ExecutionObserver for Unclocked {
+    fn record(&self, record: ObsRecord) {
+        self.0.record(record);
     }
-    out
 }
 
 #[cfg(test)]
@@ -473,13 +313,47 @@ mod tests {
         }
     }
 
+    /// Regression: the lookahead-1 plan of a 3-group schedule priced
+    /// against its 2-group prefix used to index-panic; the replay rejects
+    /// it like `Engine::execute_planned` does.
+    #[test]
+    fn planned_pricing_rejects_a_plan_of_another_schedule() {
+        let id = MatrixId::synthetic(0);
+        let mut b = ScheduleBuilder::<f64>::new();
+        for i in 0..3 {
+            b.begin_group();
+            let x = b.load(id, Region::rect(3 * i, 0, 3, 3));
+            b.flops(FlopCount::new(500, 500));
+            b.store(x);
+        }
+        let three = b.finish();
+        let plan = PrefetchPlan::plan(&three, 1, Some(64));
+        assert!(!plan.is_empty());
+        let prefix = Schedule {
+            groups: three.groups[..2].to_vec(),
+        };
+        let model = MachineModel::dram();
+        assert!(matches!(
+            modelled_time_planned(&prefix, &model, &plan),
+            Err(EngineError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            modelled_group_times(&prefix, &model, &plan),
+            Err(EngineError::InvalidArgument(_))
+        ));
+        // The schedule's own plan still prices, one window per group.
+        let windows = modelled_group_times(&three, &model, &plan).unwrap();
+        assert_eq!(windows.len(), 3);
+        assert!(windows.iter().all(|&w| w > 0.0));
+    }
+
     #[test]
     fn planned_variant_matches_inline_planning() {
         let s = two_group_schedule();
         let model = MachineModel::dram();
         let plan = PrefetchPlan::plan(&s, 1, Some(64));
         let a = modelled_time(&s, &model, 1, Some(64));
-        let b = modelled_time_planned(&s, &model, &plan);
+        let b = modelled_time_planned(&s, &model, &plan).unwrap();
         assert_eq!(a.total_ns().to_bits(), b.total_ns().to_bits());
     }
 }
