@@ -1,5 +1,5 @@
 //! A/B gate for the cost-model-driven autotuner: for every schedule builder
-//! the `*_autotuned` twin searches its default `TuningSpace` under the NVMe
+//! a tuned run (`RunOptions::tuned`) searches its default `TuningSpace` under the NVMe
 //! `MachineModel`, and the binary asserts the search paid off without ever
 //! lying about it:
 //!
@@ -8,7 +8,7 @@
 //!    at lookahead 0 (present in every default space), i.e. autotuning never
 //!    loses to the previous one-knob default.
 //! 2. **Bitwise-equal results.** The tuned execution's output must equal the
-//!    plain (un-tuned, un-optimized) twin's output exactly — the tuner may
+//!    plain (un-tuned, un-optimized) run's output exactly — the tuner may
 //!    only pick configurations that re-chunk accumulation chains, never
 //!    reorder them.
 //! 3. **Zero executions during tuning.** Every candidate is scored from
@@ -31,9 +31,9 @@
 
 use std::fmt::Write as _;
 use symla_core::api::{
-    cholesky_out_of_core, cholesky_out_of_core_autotuned, cholesky_tuning_space, gemm_out_of_core,
-    gemm_out_of_core_autotuned, gemm_tuning_space, syrk_out_of_core, syrk_out_of_core_autotuned,
-    syrk_tuning_space, AutotunedRun, CholeskyAlgorithm, SyrkAlgorithm,
+    cholesky_out_of_core, cholesky_out_of_core_with, cholesky_tuning_space, gemm_out_of_core,
+    gemm_out_of_core_with, gemm_tuning_space, syrk_out_of_core, syrk_out_of_core_with,
+    syrk_tuning_space, CholeskyAlgorithm, Run, RunOptions, SyrkAlgorithm,
 };
 use symla_core::PassPipeline;
 use symla_matrix::generate::{
@@ -78,9 +78,9 @@ fn pipeline_name(p: &PassPipeline) -> String {
 /// Runs the shared gates on one autotuned run and returns its report row.
 ///
 /// `bitwise_ok` is the caller's comparison of the tuned result against the
-/// plain twin's result; everything else is read off the [`AutotunedRun`].
-fn gate(algorithm: &str, n: usize, memory: usize, run: &AutotunedRun, bitwise_ok: bool) -> Row {
-    let tuning = &run.tuning;
+/// plain run's result; everything else is read off the tuned [`Run`].
+fn gate(algorithm: &str, n: usize, memory: usize, run: &Run, bitwise_ok: bool) -> Row {
+    let tuning = run.tuning.as_ref().expect("a tuned run reports its search");
     let winner = tuning.winner();
     let mut checks: Vec<&'static str> = Vec::new();
 
@@ -109,14 +109,14 @@ fn gate(algorithm: &str, n: usize, memory: usize, run: &AutotunedRun, bitwise_ok
         }
     };
 
-    // Gate 2: tuned result bitwise-equal to the plain twin.
+    // Gate 2: tuned result bitwise-equal to the plain run.
     if !bitwise_ok {
         checks.push("RESULT DIFFERS");
     }
 
     // Gate 3: the executed winner's measured stats must equal the stats the
     // scorer derived without executing — dry-run scoring matched reality.
-    if run.run.report.stats != winner.stats {
+    if run.report.stats != winner.stats {
         checks.push("DRY-RUN STATS DIVERGED");
     }
 
@@ -138,7 +138,7 @@ fn gate(algorithm: &str, n: usize, memory: usize, run: &AutotunedRun, bitwise_ok
         winner_ns: winner.modelled_ns,
         standard_l0_ns,
         gap_to_bound: winner.gap_to_bound,
-        loads: run.run.report.stats.volume.loads,
+        loads: run.report.stats.volume.loads,
         checks,
     }
 }
@@ -153,7 +153,8 @@ fn syrk_row(algorithm: SyrkAlgorithm, n: usize, m: usize, s: usize, model: &Mach
 
     let mut c_tuned = c0.clone();
     let space = syrk_tuning_space(n, s, algorithm);
-    let run = syrk_out_of_core_autotuned(&a, &mut c_tuned, 1.0, s, algorithm, &space, model)
+    let options = RunOptions::new().tuned(&space, model);
+    let run = syrk_out_of_core_with(&a, &mut c_tuned, 1.0, s, algorithm, &options)
         .expect("autotuned SYRK");
 
     gate(
@@ -171,8 +172,9 @@ fn cholesky_row(algorithm: CholeskyAlgorithm, n: usize, s: usize, model: &Machin
     let (l_plain, _) = cholesky_out_of_core(&spd, s, algorithm).expect("plain Cholesky");
 
     let space = cholesky_tuning_space(n, s, algorithm);
+    let options = RunOptions::new().tuned(&space, model);
     let (l_tuned, run) =
-        cholesky_out_of_core_autotuned(&spd, s, algorithm, &space, model).expect("autotuned Chol");
+        cholesky_out_of_core_with(&spd, s, algorithm, &options).expect("autotuned Chol");
 
     gate(
         &format!("{} n={n}", algorithm.name()),
@@ -193,8 +195,9 @@ fn gemm_row(n: usize, m: usize, p: usize, s: usize, model: &MachineModel) -> Row
 
     let mut c_tuned = c0.clone();
     let space = gemm_tuning_space(s);
-    let run = gemm_out_of_core_autotuned(&a, &b, &mut c_tuned, 1.0, s, &space, model)
-        .expect("autotuned GEMM");
+    let options = RunOptions::new().tuned(&space, model);
+    let run =
+        gemm_out_of_core_with(&a, &b, &mut c_tuned, 1.0, s, &options).expect("autotuned GEMM");
 
     gate(
         &format!("OOC_GEMM n={n} m={m} p={p}"),

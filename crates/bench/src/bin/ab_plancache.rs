@@ -31,8 +31,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use symla_core::api::{
-    cholesky_out_of_core_prefetched, gemm_out_of_core_prefetched, syrk_out_of_core_prefetched,
-    CholeskyAlgorithm, SyrkAlgorithm,
+    cholesky_out_of_core_with, gemm_out_of_core_with, syrk_out_of_core_with, CholeskyAlgorithm,
+    Job, RunOptions, SyrkAlgorithm,
 };
 use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::passes::PassPipeline;
@@ -82,112 +82,79 @@ impl Case {
         }
     }
 
+    /// The direct run's options.
+    fn options(&self) -> RunOptions<'static, f64> {
+        RunOptions::new()
+            .pipeline(self.pipeline.clone())
+            .lookahead(self.lookahead)
+    }
+
     /// Acquires (get-or-compile) this case's plan, returning where it came
     /// from. Pure plan work — no data is touched.
     fn acquire(&self, service: &PlanService<f64>) -> PlanSource {
-        let lookup = match self.kernel {
-            Kernel::Syrk(algorithm) => service.syrk_plan(
-                self.n,
-                self.m,
-                1.25,
-                self.s,
+        let (n, m, p, s) = (self.n, self.m, self.p, self.s);
+        let job = match self.kernel {
+            Kernel::Syrk(algorithm) => Job::Syrk {
                 algorithm,
-                &self.pipeline,
-                self.lookahead,
-            ),
-            Kernel::Cholesky(algorithm) => {
-                service.cholesky_plan(self.n, self.s, algorithm, &self.pipeline, self.lookahead)
-            }
-            Kernel::Gemm => service.gemm_plan(
-                self.n,
-                self.m,
-                self.p,
-                1.25,
-                self.s,
-                &self.pipeline,
-                self.lookahead,
-            ),
+                n,
+                m,
+                alpha: 1.25,
+                s,
+            },
+            Kernel::Cholesky(algorithm) => Job::Cholesky { algorithm, n, s },
+            Kernel::Gemm => Job::Gemm {
+                n,
+                m,
+                p,
+                alpha: 1.25,
+                s,
+            },
             Kernel::ParallelSyrk(strategy) => {
-                service.syrk_parallel_plan(self.n, self.m, 1.25, self.s, strategy)
+                let lookup = service.syrk_parallel_plan(n, m, 1.25, s, strategy);
+                return lookup.expect("plan compilation must succeed").source;
             }
         };
+        let lookup = service.plan(&job, &self.options());
         lookup.expect("plan compilation must succeed").source
     }
 
     /// Executes the case once through the direct API and once through the
     /// serve path; returns whether the results were bitwise identical.
     fn bitwise_check(&self, service: &PlanService<f64>) -> bool {
+        let direct_options = self.options();
+        let served_options = self.options().cached(service);
         match self.kernel {
             Kernel::Syrk(algorithm) => {
                 let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9100);
+                let run_on = |c: &mut SymMatrix<f64>, options| {
+                    syrk_out_of_core_with(&a, c, 1.25, self.s, algorithm, options).unwrap()
+                };
                 let mut direct = SymMatrix::zeros(self.n);
-                let run = syrk_out_of_core_prefetched(
-                    &a,
-                    &mut direct,
-                    1.25,
-                    self.s,
-                    algorithm,
-                    &self.pipeline,
-                    self.lookahead,
-                )
-                .unwrap();
+                let run = run_on(&mut direct, &direct_options);
                 let mut served = SymMatrix::zeros(self.n);
-                let serve = service
-                    .syrk(
-                        &a,
-                        &mut served,
-                        1.25,
-                        self.s,
-                        algorithm,
-                        &self.pipeline,
-                        self.lookahead,
-                    )
-                    .unwrap();
-                served == direct && serve.stats.volume == run.report.stats.volume
+                let serve = run_on(&mut served, &served_options);
+                served == direct && serve.report.stats.volume == run.report.stats.volume
             }
             Kernel::Cholesky(algorithm) => {
                 let a: SymMatrix<f64> = random_spd_seeded(self.n, 9200);
-                let (direct, run) = cholesky_out_of_core_prefetched(
-                    &a,
-                    self.s,
-                    algorithm,
-                    &self.pipeline,
-                    self.lookahead,
-                )
-                .unwrap();
-                let (served, serve) = service
-                    .cholesky(&a, self.s, algorithm, &self.pipeline, self.lookahead)
-                    .unwrap();
-                served == direct && serve.stats.volume == run.report.stats.volume
+                let run_on =
+                    |options| cholesky_out_of_core_with(&a, self.s, algorithm, options).unwrap();
+                let (direct, run) = run_on(&direct_options);
+                let (served, serve) = run_on(&served_options);
+                served == direct && serve.report.stats.volume == run.report.stats.volume
             }
             Kernel::Gemm => {
                 let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9300);
                 let b: Matrix<f64> = random_matrix_seeded(self.m, self.p, 9301);
                 let c0: Matrix<f64> = random_matrix_seeded(self.n, self.p, 9302);
+                let run_on = |c: &mut Matrix<f64>, options| {
+                    gemm_out_of_core_with(&a, &b, c, 1.25, self.s, options).unwrap()
+                };
                 let mut direct = c0.clone();
-                let run = gemm_out_of_core_prefetched(
-                    &a,
-                    &b,
-                    &mut direct,
-                    1.25,
-                    self.s,
-                    &self.pipeline,
-                    self.lookahead,
-                )
-                .unwrap();
+                let run = run_on(&mut direct, &direct_options);
                 let mut served = c0.clone();
-                let serve = service
-                    .gemm(
-                        &a,
-                        &b,
-                        &mut served,
-                        1.25,
-                        self.s,
-                        &self.pipeline,
-                        self.lookahead,
-                    )
-                    .unwrap();
-                served == direct && serve.stats.volume == run.report.stats.volume
+                let serve = run_on(&mut served, &served_options);
+                served == direct && serve.report.stats.volume == run.report.stats.volume
             }
             Kernel::ParallelSyrk(strategy) => {
                 let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9400);

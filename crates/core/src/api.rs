@@ -1,9 +1,17 @@
 //! High-level entry points: run a kernel out of core with a chosen schedule
 //! and get back the result plus a full I/O report.
 //!
-//! These wrappers own the machine-model plumbing (registering the operands in
-//! slow memory, choosing plans, extracting the result) so that examples and
-//! downstream users can exercise the paper's algorithms in a couple of lines:
+//! Each kernel has one entry point — [`syrk_out_of_core_with`],
+//! [`cholesky_out_of_core_with`] and [`gemm_out_of_core_with`] — taking the
+//! operands, the fast-memory capacity `S`, the algorithm and one
+//! [`RunOptions`], and returning one [`Run`]. The options combine freely: a
+//! pass pipeline, a prefetch lookahead, a timing model (priced replay), a
+//! trace recorder (instrumented replay), a tuning space (the autotuner picks
+//! tile, pipeline and lookahead) and a [`PlanService`] (the plan comes from
+//! the content-addressed cache). All three share one private path: compile
+//! the plan, replay it, fill the `Run`. [`syrk_out_of_core`],
+//! [`cholesky_out_of_core`] and [`gemm_out_of_core`] are that path with the
+//! default options:
 //!
 //! ```
 //! use symla_core::api::{syrk_out_of_core, SyrkAlgorithm};
@@ -16,11 +24,11 @@
 //! ```
 
 use crate::bounds;
-use crate::engine::{Engine, EngineConfig, Schedule};
+use crate::engine::{Engine, Schedule};
 use crate::lbc::{lbc_cost, lbc_schedule};
 use crate::passes::{PassPipeline, StageOutcome};
 use crate::plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
-use crate::service::{PlanService, ServedRun};
+use crate::service::PlanService;
 use crate::tbs::{tbs_cost, tbs_schedule};
 use crate::tbs_tiled::{tbs_tiled_cost, tbs_tiled_schedule};
 use std::fmt;
@@ -32,12 +40,14 @@ use symla_baselines::{
 };
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
 use symla_memory::{
-    IoStats, LatencyMachine, MachineConfig, MachineModel, OocMachine, PanelRef, SymWindowRef,
-    TimeStats,
+    IoStats, LatencyMachine, MachineConfig, MachineModel, MachineOps, MatrixId, MemoryError,
+    OocMachine, PanelRef, SymWindowRef, TimeStats,
 };
 use symla_obs::{InstrumentedMachine, RunTrace, TraceRecorder};
-use symla_sched::autotune::{TuneError, Tuned, Tuner, TuningReport, TuningSpace};
-use symla_sched::timing::modelled_time;
+use symla_plancache::PlanSource;
+use symla_sched::autotune::{Tuner, TuningReport, TuningSpace};
+use symla_sched::timing::modelled_time_planned;
+use symla_sched::PrefetchPlan;
 
 /// Out-of-core SYRK schedules exposed by the high-level API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +111,9 @@ pub struct RunReport {
     pub memory: usize,
     /// Measured machine statistics.
     pub stats: IoStats,
-    /// Analytic prediction of the same schedule (must agree exactly).
+    /// Analytic prediction of the seed schedule (must agree exactly when
+    /// no pass changed it). All zero when no cost model applies — see
+    /// [`Run::predicted`].
     pub predicted: IoEstimate,
     /// The paper's lower bound for this instance.
     pub lower_bound: f64,
@@ -176,270 +188,805 @@ impl fmt::Display for RunReport {
     }
 }
 
-/// Outcome of an optimized out-of-core run: the regular [`RunReport`]
-/// (whose `stats` are the *measured optimized* execution) plus the seed
-/// schedule's dry-run stats and the per-pass accounting.
+/// Wall-clock view of one priced run under a [`MachineModel`]: the time a
+/// [`LatencyMachine`] (or an [`InstrumentedMachine`]) accumulated while the
+/// schedule really executed (`measured`) next to the prediction of
+/// [`modelled_time_planned`] (`modelled`), which replays the same plan on a
+/// data-less machine.
 ///
-/// For an optimized run, [`RunReport::prediction_matches`] compares the
-/// analytic model against the optimized measurement, so it only holds when
-/// the pipeline saved nothing; [`OptimizedRun::seed_prediction_matches`] is
-/// the invariant that always holds.
-#[derive(Debug, Clone)]
-pub struct OptimizedRun {
-    /// The run report; `report.stats` is the measured optimized execution.
-    pub report: RunReport,
-    /// Dry-run statistics of the seed (un-optimized) schedule.
-    pub seed_stats: IoStats,
-    /// Per-pass accounting recorded by the pass manager.
-    pub stages: Vec<StageOutcome>,
+/// The two are the same replay through the same clock and must agree
+/// **bitwise** — [`WallClock::consistent`] is the cheap self-check the
+/// benchmarks gate on. `measured` is still *modelled* nanoseconds (the
+/// machine is simulated); real elapsed time is the benchmark harness's job.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WallClock {
+    /// Time accumulated by the priced machine during the execution.
+    pub measured: TimeStats,
+    /// Time predicted by [`modelled_time_planned`] from the plan alone.
+    pub modelled: TimeStats,
 }
 
-impl OptimizedRun {
-    /// Load volume saved by the pipeline (elements).
+impl WallClock {
+    /// Whether the measured and modelled accounts agree bitwise (they must:
+    /// a mismatch means the timing model and the engine disagree about the
+    /// replay's event stream).
+    pub fn consistent(&self) -> bool {
+        self.measured.io_ns.to_bits() == self.modelled.io_ns.to_bits()
+            && self.measured.compute_ns.to_bits() == self.modelled.compute_ns.to_bits()
+            && self.measured.hidden_ns.to_bits() == self.modelled.hidden_ns.to_bits()
+            && self.measured.groups == self.modelled.groups
+    }
+}
+
+/// Where a served run's plan came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Served {
+    /// Compiled by this call, a memory or disk hit, or coalesced.
+    pub source: PlanSource,
+    /// The cache's content hash for the plan key.
+    pub key_hash: u64,
+}
+
+/// Outcome of one out-of-core run: the [`RunReport`] plus the sections the
+/// [`RunOptions`] asked for.
+///
+/// A plan from the cache carries only its schedule and prefetch plan, so a
+/// served run reports no pass stages and no tuning report, and a served
+/// tuned run no analytic prediction (the cache keeps no winning tile).
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The run report; `report.stats` is the measured execution.
+    pub report: RunReport,
+    /// Per-pass accounting of the passes this call ran (empty when none
+    /// ran or the plan came from the cache).
+    pub stages: Vec<StageOutcome>,
+    /// Measured-vs-modelled wall clock of a priced or traced run.
+    pub clock: Option<WallClock>,
+    /// The event trace of a traced run (drained from the recorder).
+    pub trace: Option<RunTrace>,
+    /// The search that picked a tuned plan compiled by this call.
+    pub tuning: Option<TuningReport>,
+    /// Plan source and key hash of a run served through a [`PlanService`].
+    pub served: Option<Served>,
+    predicted: bool,
+}
+
+impl Run {
+    /// The analytic prediction, absent for a tuned plan served from the
+    /// cache (`report.predicted` is then zero).
+    pub fn predicted(&self) -> Option<&IoEstimate> {
+        self.predicted.then_some(&self.report.predicted)
+    }
+
+    /// Dry-run statistics of the seed schedule: the first pass stage's
+    /// input. `None` when no pass stage is recorded.
+    pub fn seed_stats(&self) -> Option<&IoStats> {
+        self.stages.first().map(|stage| &stage.before)
+    }
+
+    /// Load volume saved by the pipeline (elements; 0 without stages).
     pub fn loads_saved(&self) -> i64 {
-        self.seed_stats.volume.loads as i64 - self.report.stats.volume.loads as i64
+        self.seed_stats().map_or(0, |seed| {
+            seed.volume.loads as i64 - self.report.stats.volume.loads as i64
+        })
     }
 
     /// Transfer events (loads + stores) saved by the pipeline.
     pub fn events_saved(&self) -> i64 {
-        (self.seed_stats.load_events + self.seed_stats.store_events) as i64
-            - (self.report.stats.load_events + self.report.stats.store_events) as i64
+        let events = |s: &IoStats| (s.load_events + s.store_events) as i64;
+        self.seed_stats()
+            .map_or(0, |seed| events(seed) - events(&self.report.stats))
     }
 
-    /// Whether the analytic cost model matches the *seed* schedule exactly
-    /// (the invariant the un-optimized API enforces via
-    /// [`RunReport::prediction_matches`]).
+    /// Whether the analytic cost model matches the seed schedule exactly:
+    /// the seed stats when passes ran, the measured volumes otherwise
+    /// (prefetch never changes volumes). `false` without a prediction.
     pub fn seed_prediction_matches(&self) -> bool {
-        self.report.predicted.loads == self.seed_stats.volume.loads as u128
-            && self.report.predicted.stores == self.seed_stats.volume.stores as u128
+        let seed = self.seed_stats().unwrap_or(&self.report.stats);
+        self.predicted().is_some_and(|p| {
+            p.loads == seed.volume.loads as u128 && p.stores == seed.volume.stores as u128
+        })
+    }
+
+    /// The run as machine-readable metrics: the engine's [`IoStats`] under
+    /// `engine.*`, both sides of the clock under `time.measured.*` /
+    /// `time.modelled.*`, a `plan.source.<source>` marker counter and the
+    /// tuning run under `autotune.*` — each when the run has it. The
+    /// aggregate counters equal the engine's own accounting exactly.
+    pub fn metrics(&self, label: impl Into<String>) -> symla_obs::RunReport {
+        let mut metrics = symla_obs::RunReport::new(label);
+        let registry = &mut metrics.registry;
+        registry.record_io_stats("engine", &self.report.stats);
+        if let Some(clock) = &self.clock {
+            registry.record_time_stats("time.measured", &clock.measured);
+            registry.record_time_stats("time.modelled", &clock.modelled);
+        }
+        if let Some(served) = &self.served {
+            let source = format!("{:?}", served.source).to_lowercase();
+            registry.counter_add(&format!("plan.source.{source}"), 1);
+        }
+        if let Some(tuning) = &self.tuning {
+            tuning.export_metrics("autotune", registry);
+        }
+        metrics
     }
 }
 
-/// Builds the schedule and analytic cost of one SYRK algorithm.
-pub(crate) fn syrk_schedule_for<T: Scalar>(
-    algorithm: SyrkAlgorithm,
-    a_ref: &PanelRef,
-    c_ref: &SymWindowRef,
-    alpha: T,
-    s: usize,
-) -> Result<(Schedule<T>, IoEstimate)> {
-    let n = c_ref.order();
-    let m = a_ref.cols();
-    Ok(match algorithm {
-        SyrkAlgorithm::Tbs => {
-            let plan = TbsPlan::for_memory(s)?;
-            (
-                tbs_schedule(a_ref, c_ref, alpha, &plan)?,
-                tbs_cost(n, m, &plan)?,
-            )
-        }
-        SyrkAlgorithm::TbsTiled => {
-            let plan = TbsTiledPlan::for_problem(s, n)?;
-            (
-                tbs_tiled_schedule(a_ref, c_ref, alpha, &plan)?,
-                tbs_tiled_cost(n, m, &plan)?,
-            )
-        }
-        SyrkAlgorithm::SquareBlocks => {
-            let plan = OocSyrkPlan::for_memory(s)?;
-            (
-                ooc_syrk_schedule(a_ref, c_ref, alpha, &plan)?,
-                ooc_syrk_cost(n, m, &plan),
-            )
-        }
-    })
+/// The trace and clock of a `*_out_of_core_traced` call.
+#[derive(Debug, Clone)]
+pub struct TracedRun {
+    /// Every observable event of the replay (group spans, transfers,
+    /// kernels, prefetch issue→delivery pairs), double-stamped with the
+    /// real clock and the modelled timeline — export with
+    /// [`RunTrace::to_chrome_trace`](symla_obs::RunTrace::to_chrome_trace).
+    pub trace: RunTrace,
+    /// Measured-vs-modelled wall clock, bitwise-consistent.
+    pub clock: WallClock,
 }
 
-/// Builds the schedule and analytic cost of one Cholesky algorithm.
-pub(crate) fn cholesky_schedule_for<T: Scalar>(
-    algorithm: CholeskyAlgorithm,
-    window: &SymWindowRef,
-    s: usize,
-) -> Result<(Schedule<T>, IoEstimate)> {
-    let n = window.order();
-    Ok(match algorithm {
-        CholeskyAlgorithm::Lbc => {
-            let plan = LbcPlan::for_problem(n, s)?;
-            (lbc_schedule(window, &plan)?, lbc_cost(n, &plan)?)
-        }
-        CholeskyAlgorithm::LbcTiled => {
-            let plan = LbcPlan::for_problem(n, s)?.with_trailing(TrailingUpdate::TbsTiled);
-            (lbc_schedule(window, &plan)?, lbc_cost(n, &plan)?)
-        }
-        CholeskyAlgorithm::LbcSquare => {
-            let plan = LbcPlan::for_problem(n, s)?.with_trailing(TrailingUpdate::OocSyrk);
-            (lbc_schedule(window, &plan)?, lbc_cost(n, &plan)?)
-        }
-        CholeskyAlgorithm::Bereux => {
-            let plan = OocCholPlan::for_memory(s)?;
-            (ooc_chol_schedule(window, &plan), ooc_chol_cost(n, &plan))
-        }
-    })
+impl TracedRun {
+    /// Moves a traced run's trace and clock out of `run`.
+    fn split(mut run: Run) -> (Run, TracedRun) {
+        let trace = run.trace.take().unwrap_or_default();
+        let clock = run.clock.take().unwrap_or_default();
+        (run, TracedRun { trace, clock })
+    }
 }
 
-/// [`syrk_schedule_for`] with an explicit tile override: `None` delegates
-/// to the planner default, `Some(t)` sets the algorithm's tile parameter
-/// (`k` for TBS variants, the square block side for the baseline). The
-/// override must fit the capacity `s`; infeasible tiles return an error so
-/// the autotuner can skip them.
-pub(crate) fn syrk_schedule_with_tile<T: Scalar>(
-    algorithm: SyrkAlgorithm,
-    a_ref: &PanelRef,
-    c_ref: &SymWindowRef,
-    alpha: T,
-    s: usize,
-    tile: Option<usize>,
-) -> Result<(Schedule<T>, IoEstimate)> {
-    let Some(t) = tile else {
-        return syrk_schedule_for(algorithm, a_ref, c_ref, alpha, s);
-    };
-    let n = c_ref.order();
-    let m = a_ref.cols();
-    Ok(match algorithm {
-        SyrkAlgorithm::Tbs => {
-            let plan = TbsPlan::with_k(t)?;
-            if plan.working_set() > s {
-                return Err(OocError::Invalid(format!(
-                    "TBS k = {t} needs {} elements, capacity is {s}",
-                    plan.working_set()
-                )));
+/// How one out-of-core run is planned, replayed and observed. The default
+/// is the plain run: no passes, no prefetch, an unobserved machine, the
+/// planner-default tile and a plan built for this call.
+///
+/// ```
+/// use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
+/// use symla_core::passes::PassPipeline;
+/// use symla_core::PlanService;
+/// use symla_matrix::{generate, SymMatrix};
+/// use symla_memory::MachineModel;
+/// use symla_obs::TraceRecorder;
+///
+/// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+/// let (model, recorder, service) = (MachineModel::nvme(), TraceRecorder::new(), PlanService::in_memory());
+/// // Optimized, prefetched, traced and cached in one call.
+/// let options = RunOptions::new()
+///     .pipeline(PassPipeline::standard())
+///     .lookahead(1)
+///     .traced(&model, &recorder)
+///     .cached(&service);
+/// let mut c = SymMatrix::zeros(40);
+/// let run = syrk_out_of_core_with(&a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &options).unwrap();
+/// assert!(run.clock.unwrap().consistent());
+/// assert!(run.trace.unwrap().len() > 0);
+/// assert!(run.served.is_some());
+/// ```
+#[derive(Debug, Clone)]
+pub struct RunOptions<'a, T: Scalar> {
+    pub(crate) pipeline: PassPipeline,
+    pub(crate) lookahead: usize,
+    pub(crate) model: Option<&'a MachineModel>,
+    pub(crate) recorder: Option<&'a TraceRecorder>,
+    pub(crate) tuning: Option<(&'a TuningSpace, &'a MachineModel)>,
+    pub(crate) service: Option<&'a PlanService<T>>,
+}
+
+impl<T: Scalar> Default for RunOptions<'_, T> {
+    fn default() -> Self {
+        Self {
+            pipeline: PassPipeline::none(),
+            lookahead: 0,
+            model: None,
+            recorder: None,
+            tuning: None,
+            service: None,
+        }
+    }
+}
+
+impl<'a, T: Scalar> RunOptions<'a, T> {
+    /// The plain run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Optimizes the seed schedule with `pipeline` before the replay; the
+    /// report's stats then measure the optimized execution. A pipeline
+    /// residency budget larger than `S` is clamped to `S`, so the optimized
+    /// schedule always executes within the fast memory the caller asked
+    /// for.
+    ///
+    /// ```
+    /// use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
+    /// use symla_core::passes::PassPipeline;
+    /// use symla_matrix::{generate, SymMatrix};
+    ///
+    /// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+    /// let mut c = SymMatrix::zeros(40);
+    /// let options = RunOptions::new().pipeline(PassPipeline::standard());
+    /// let run = syrk_out_of_core_with(&a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &options)
+    ///     .unwrap();
+    /// assert!(run.seed_prediction_matches());
+    /// assert!(run.events_saved() > 0); // coalesced contiguous loads
+    /// assert!(run.loads_saved() >= 0);
+    /// ```
+    pub fn pipeline(mut self, pipeline: PassPipeline) -> Self {
+        self.pipeline = pipeline;
+        self
+    }
+
+    /// Replays with a prefetch lookahead of `lookahead` task groups (0 =
+    /// plain serial replay): while one group computes, the engine issues
+    /// the loads of up to `lookahead` future groups into the capacity slack
+    /// the (optimized) schedule leaves free — slack is taken from the
+    /// schedule the passes produced, never assumed — so the stalled-load
+    /// volume shrinks whenever the slack admits any overlap (see
+    /// [`IoStats::stalled_loads`]). The prefetch planner's freshness rule
+    /// keeps any load of a region still pending a write at its original
+    /// program point, so results are bitwise-identical at every lookahead
+    /// and the peak residency still respects `S`.
+    ///
+    /// ```
+    /// use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
+    /// use symla_matrix::{generate, SymMatrix};
+    ///
+    /// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+    /// let mut c = SymMatrix::zeros(40);
+    /// let options = RunOptions::new().lookahead(1);
+    /// let run = syrk_out_of_core_with(&a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &options)
+    ///     .unwrap();
+    /// // Some of the load stream overlapped the previous group's compute ...
+    /// assert!(run.report.stats.prefetched_elements > 0);
+    /// // ... within the same fast-memory capacity.
+    /// assert!(run.report.stats.peak_resident <= 60);
+    /// ```
+    pub fn lookahead(mut self, lookahead: usize) -> Self {
+        self.lookahead = lookahead;
+        self
+    }
+
+    /// Prices every transfer and flop against `model` on a
+    /// [`LatencyMachine`] and reports the run's [`WallClock`]. Prefetched
+    /// loads are accounted as overlapped with the issuing group's compute,
+    /// so sweeping the lookahead yields a deterministic speedup curve.
+    ///
+    /// ```
+    /// use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
+    /// use symla_matrix::{generate, SymMatrix};
+    /// use symla_memory::MachineModel;
+    ///
+    /// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+    /// let model = MachineModel::nvme();
+    /// let clock = |lookahead| {
+    ///     let mut c = SymMatrix::zeros(40);
+    ///     let options = RunOptions::new().lookahead(lookahead).priced(&model);
+    ///     let run = syrk_out_of_core_with(&a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &options);
+    ///     run.unwrap().clock.unwrap()
+    /// };
+    /// let (serial, overlapped) = (clock(0), clock(1));
+    /// assert!(serial.consistent() && overlapped.consistent());
+    /// // Same transfers, but the lookahead hides loads behind compute.
+    /// assert!(overlapped.measured.total_ns() < serial.measured.total_ns());
+    /// ```
+    pub fn priced(mut self, model: &'a MachineModel) -> Self {
+        self.model = Some(model);
+        self
+    }
+
+    /// Prices the replay like [`priced`](Self::priced) on an
+    /// [`InstrumentedMachine`] that records every transfer, kernel and
+    /// prefetch handoff (and, when served, the cache lookup) into
+    /// `recorder`. The run's trace drains the recorder, on failure too.
+    /// Results, [`IoStats`] and the modelled timeline are bitwise those of
+    /// the unobserved and priced runs.
+    pub fn traced(mut self, model: &'a MachineModel, recorder: &'a TraceRecorder) -> Self {
+        self.model = Some(model);
+        self.recorder = Some(recorder);
+        self
+    }
+
+    /// Replays the configuration an exhaustive cost-model search picked
+    /// from `space`: tile, pass pipeline and prefetch lookahead are chosen
+    /// by scoring every candidate **without executing anything** (dry-run
+    /// [`IoStats`] + modelled time against `model`), then only the winner
+    /// runs on the data. The search picks the pipeline and lookahead, so a
+    /// tuned run sets neither, and replays serially (`workers == [1]`).
+    ///
+    /// ```
+    /// use symla_core::api::{syrk_out_of_core_with, syrk_tuning_space, RunOptions, SyrkAlgorithm};
+    /// use symla_matrix::{generate, SymMatrix};
+    /// use symla_memory::MachineModel;
+    ///
+    /// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+    /// let mut c = SymMatrix::zeros(40);
+    /// let space = syrk_tuning_space(40, 60, SyrkAlgorithm::TbsTiled);
+    /// let model = MachineModel::nvme();
+    /// let options = RunOptions::new().tuned(&space, &model);
+    /// let run = syrk_out_of_core_with(&a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &options)
+    ///     .unwrap();
+    /// // The measured replay is exactly what the search scored.
+    /// assert_eq!(run.report.stats, run.tuning.unwrap().winner().stats);
+    /// ```
+    pub fn tuned(mut self, space: &'a TuningSpace, model: &'a MachineModel) -> Self {
+        self.tuning = Some((space, model));
+        self
+    }
+
+    /// Takes the plan from `service`'s cache, compiling it at most once per
+    /// problem shape; a hit runs no pass, prefetch-planner or tuner work.
+    pub fn cached(mut self, service: &'a PlanService<T>) -> Self {
+        self.service = Some(service);
+        self
+    }
+
+    /// Rejects the combinations that cannot run.
+    pub(crate) fn check(&self) -> Result<()> {
+        let Some((space, _)) = self.tuning else {
+            return Ok(());
+        };
+        if self.pipeline != PassPipeline::none() || self.lookahead != 0 {
+            return Err(OocError::Invalid(
+                "a tuned run picks its own pass pipeline and lookahead".into(),
+            ));
+        }
+        if space.workers.iter().any(|&w| w != 1) {
+            return Err(OocError::Invalid(
+                "serial autotuned entry points require workers == [1]; \
+                 tune parallel partitions directly through the Tuner"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// An operand-free description of one kernel instance: everything a plan
+/// is compiled from. Plans are built against [`MatrixId::synthetic`] ids
+/// in operand registration order (`A`, then `B` for GEMM, then `C`), so one
+/// plan replays on any machine whose operands were inserted in that order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Job<T> {
+    /// `C += α·A·Aᵀ` with `A` of shape `n×m`.
+    Syrk {
+        /// The schedule.
+        algorithm: SyrkAlgorithm,
+        /// Order of `C`.
+        n: usize,
+        /// Columns of `A`.
+        m: usize,
+        /// The scaling factor `α`.
+        alpha: T,
+        /// Fast-memory capacity in elements.
+        s: usize,
+    },
+    /// Cholesky factorization of a symmetric matrix of order `n`.
+    Cholesky {
+        /// The schedule.
+        algorithm: CholeskyAlgorithm,
+        /// Matrix order.
+        n: usize,
+        /// Fast-memory capacity in elements.
+        s: usize,
+    },
+    /// `C += α·A·B` with `A` of shape `n×m` and `B` of shape `m×p`.
+    Gemm {
+        /// Rows of `A` and `C`.
+        n: usize,
+        /// Inner dimension.
+        m: usize,
+        /// Columns of `B` and `C`.
+        p: usize,
+        /// The scaling factor `α`.
+        alpha: T,
+        /// Fast-memory capacity in elements.
+        s: usize,
+    },
+}
+
+impl<T: Scalar> Job<T> {
+    /// The fast-memory capacity the job runs under.
+    pub(crate) fn capacity(&self) -> usize {
+        match *self {
+            Job::Syrk { s, .. } | Job::Cholesky { s, .. } | Job::Gemm { s, .. } => s,
+        }
+    }
+
+    /// Plans the job with the planner default (`tile = None`) or the
+    /// tuner's tile override (`k` for the TBS variants, the LBC panel width,
+    /// the square tile of the baselines) and returns the analytic cost plus,
+    /// when `emit` is set, the schedule. An override that does not fit the
+    /// capacity is an error, so the tuner skips it.
+    fn build(&self, tile: Option<usize>, emit: bool) -> Result<(IoEstimate, Option<Schedule<T>>)> {
+        let [x, y, z] = [0, 1, 2].map(MatrixId::synthetic);
+        let fits = |what: String, need: usize, s: usize| {
+            if need <= s {
+                Ok(())
+            } else {
+                let msg = format!("{what} needs {need} elements, capacity is {s}");
+                Err(OocError::Invalid(msg))
             }
-            let plan = TbsPlan { k: t, capacity: s };
-            (
-                tbs_schedule(a_ref, c_ref, alpha, &plan)?,
-                tbs_cost(n, m, &plan)?,
-            )
+        };
+        Ok(match *self {
+            Job::Syrk {
+                algorithm,
+                n,
+                m,
+                alpha,
+                s,
+            } => {
+                let (a, c) = (PanelRef::dense(x, n, m), SymWindowRef::full(y, n));
+                match algorithm {
+                    SyrkAlgorithm::Tbs => {
+                        let plan = match tile {
+                            None => TbsPlan::for_memory(s)?,
+                            Some(k) => {
+                                fits(format!("TBS k = {k}"), TbsPlan::with_k(k)?.working_set(), s)?;
+                                TbsPlan { k, capacity: s }
+                            }
+                        };
+                        let schedule = emit.then(|| tbs_schedule(&a, &c, alpha, &plan));
+                        (tbs_cost(n, m, &plan)?, schedule.transpose()?)
+                    }
+                    SyrkAlgorithm::TbsTiled => {
+                        let plan = match tile {
+                            None => TbsTiledPlan::for_problem(s, n)?,
+                            Some(k) => TbsTiledPlan {
+                                k,
+                                b: TbsTiledPlan::max_tile_for(k, s).ok_or_else(|| {
+                                    OocError::Invalid(format!(
+                                        "no tiled-TBS tile fits k = {k} in capacity {s}"
+                                    ))
+                                })?,
+                                capacity: s,
+                            },
+                        };
+                        let schedule = emit.then(|| tbs_tiled_schedule(&a, &c, alpha, &plan));
+                        (tbs_tiled_cost(n, m, &plan)?, schedule.transpose()?)
+                    }
+                    SyrkAlgorithm::SquareBlocks => {
+                        let plan = match tile {
+                            None => OocSyrkPlan::for_memory(s)?,
+                            Some(t) => OocSyrkPlan::with_tile(t)?,
+                        };
+                        fits(format!("square tile {}", plan.tile), plan.working_set(), s)?;
+                        let schedule = emit.then(|| ooc_syrk_schedule(&a, &c, alpha, &plan));
+                        (ooc_syrk_cost(n, m, &plan), schedule.transpose()?)
+                    }
+                }
+            }
+            Job::Cholesky { algorithm, n, s } => {
+                let window = SymWindowRef::full(x, n);
+                let trailing = match algorithm {
+                    CholeskyAlgorithm::Lbc => TrailingUpdate::Tbs,
+                    CholeskyAlgorithm::LbcTiled => TrailingUpdate::TbsTiled,
+                    CholeskyAlgorithm::LbcSquare => TrailingUpdate::OocSyrk,
+                    CholeskyAlgorithm::Bereux => {
+                        let plan = match tile {
+                            None => OocCholPlan::for_memory(s)?,
+                            Some(t) => OocCholPlan::with_tile(t)?,
+                        };
+                        let schedule = emit.then(|| ooc_chol_schedule(&window, &plan));
+                        return Ok((ooc_chol_cost(n, &plan), schedule));
+                    }
+                };
+                let mut plan = LbcPlan::for_problem(n, s)?;
+                if let Some(t) = tile {
+                    plan = plan.with_block(t)?;
+                }
+                let plan = plan.with_trailing(trailing);
+                let schedule = emit.then(|| lbc_schedule(&window, &plan));
+                (lbc_cost(n, &plan)?, schedule.transpose()?)
+            }
+            Job::Gemm { n, m, p, alpha, s } => {
+                let plan = match tile {
+                    None => OocGemmPlan::for_memory(s)?,
+                    Some(t) => OocGemmPlan::with_tile(t)?,
+                };
+                let (a, b) = (PanelRef::dense(x, n, m), PanelRef::dense(y, m, p));
+                let c = PanelRef::dense(z, n, p);
+                let schedule = emit.then(|| ooc_gemm_schedule(&a, &b, &c, alpha, &plan));
+                (ooc_gemm_cost(n, m, p, &plan), schedule.transpose()?)
+            }
+        })
+    }
+
+    /// [`build`](Self::build) with the schedule.
+    fn schedule(&self, tile: Option<usize>) -> Result<(IoEstimate, Schedule<T>)> {
+        let (cost, schedule) = self.build(tile, true)?;
+        Ok((
+            cost,
+            schedule.expect("an emitting build returns the schedule"),
+        ))
+    }
+
+    /// The run report of one execution of the job.
+    fn report(&self, stats: IoStats, predicted: IoEstimate) -> RunReport {
+        let (algorithm, n, m, s, lower_bound, prior_lower_bound) = match *self {
+            Job::Syrk {
+                algorithm, n, m, s, ..
+            } => {
+                let (nf, mf, sf) = (n as f64, m as f64, s as f64);
+                let bound = bounds::syrk_lower_bound(nf, mf, sf);
+                let prior = bounds::syrk_lower_bound_prior(nf, mf, sf);
+                (algorithm.name(), n, Some(m), s, bound, prior)
+            }
+            Job::Cholesky { algorithm, n, s } => {
+                let bound = bounds::cholesky_lower_bound(n as f64, s as f64);
+                let prior = bounds::cholesky_lower_bound_prior(n as f64, s as f64);
+                (algorithm.name(), n, None, s, bound, prior)
+            }
+            // The tight GEMM bound is also the best previously known one.
+            Job::Gemm { n, m, p, s, .. } => {
+                let bound = bounds::gemm_lower_bound(n as f64, m as f64, p as f64, s as f64);
+                ("OOC_GEMM(rect)", n, Some(m), s, bound, bound)
+            }
+        };
+        RunReport {
+            algorithm: algorithm.to_string(),
+            n,
+            m,
+            memory: s,
+            stats,
+            predicted,
+            lower_bound,
+            prior_lower_bound,
         }
-        SyrkAlgorithm::TbsTiled => {
-            let b = TbsTiledPlan::max_tile_for(t, s).ok_or_else(|| {
-                OocError::Invalid(format!("no tiled-TBS tile fits k = {t} in capacity {s}"))
-            })?;
-            let plan = TbsTiledPlan {
-                k: t,
-                b,
-                capacity: s,
+    }
+}
+
+/// What compiling a plan recorded beside the plan itself.
+pub(crate) struct Notes {
+    predicted: Option<IoEstimate>,
+    stages: Vec<StageOutcome>,
+    tuning: Option<TuningReport>,
+}
+
+/// A compiled plan: the schedule and, at a nonzero lookahead, its prefetch
+/// plan — the pair the plan cache stores.
+pub(crate) type Plan<T> = (Schedule<T>, Option<PrefetchPlan>);
+
+/// Compiles `job` under `options`: the tuner's winner, or the build, the
+/// pass pipeline (clamped to the capacity) and the prefetch plan.
+pub(crate) fn compile<T: Scalar>(
+    job: &Job<T>,
+    options: &RunOptions<'_, T>,
+) -> Result<(Plan<T>, Notes)> {
+    let s = job.capacity();
+    if let Some((space, model)) = options.tuning {
+        let build = |tile| {
+            job.schedule(tile)
+                .map(|(_, s)| s)
+                .map_err(|e| e.to_string())
+        };
+        let tuned = Tuner::new(model, s)
+            .tune_schedules(build, space)
+            .map_err(|e| OocError::Invalid(format!("autotune: {e}")))?;
+        let (predicted, _) = job.build(tuned.report.best_config().tile, false)?;
+        let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
+        let notes = Notes {
+            predicted: Some(predicted),
+            stages: tuned.stages,
+            tuning: Some(tuned.report),
+        };
+        return Ok(((tuned.schedule, prefetch), notes));
+    }
+    let (predicted, seed) = job.schedule(None)?;
+    let pipeline = &options.pipeline;
+    let (schedule, stages) = if pipeline.is_noop() && !pipeline.verify {
+        (seed, Vec::new())
+    } else {
+        let clamped = pipeline
+            .clone()
+            .with_budget(pipeline.budget.map(|b| b.min(s)));
+        let optimized = clamped
+            .manager::<T>()
+            .optimize(&seed, "main")
+            .map_err(|e| OocError::Invalid(format!("pass pipeline: {e}")))?;
+        (optimized.schedule, optimized.stages)
+    };
+    let prefetch =
+        (options.lookahead > 0).then(|| PrefetchPlan::plan(&schedule, options.lookahead, Some(s)));
+    let notes = Notes {
+        predicted: Some(predicted),
+        stages,
+        tuning: None,
+    };
+    Ok(((schedule, prefetch), notes))
+}
+
+/// The one serial replay of a compiled plan.
+fn replay<T: Scalar, M: MachineOps<T>>(
+    machine: &mut M,
+    schedule: &Schedule<T>,
+    prefetch: &PrefetchPlan,
+) -> Result<()> {
+    Ok(Engine::execute_planned(machine, schedule, prefetch)?)
+}
+
+/// The path behind every entry point: register the operands in plan order
+/// on one fresh machine, compile (or fetch) the plan, replay on the bare
+/// machine or its priced or instrumented wrapper, extract the result and
+/// fill the [`Run`].
+fn run_job<T: Scalar, R>(
+    job: Job<T>,
+    options: &RunOptions<'_, T>,
+    register: impl FnOnce(&mut OocMachine<T>) -> Vec<MatrixId>,
+    extract: impl FnOnce(&mut OocMachine<T>) -> std::result::Result<R, MemoryError>,
+) -> Result<(R, Run)> {
+    options.check()?;
+    let mut machine = OocMachine::new(MachineConfig::with_capacity(job.capacity()));
+    let ids = register(&mut machine);
+    debug_assert!(
+        (0..).zip(&ids).all(|(i, id)| *id == MatrixId::synthetic(i)),
+        "operand registration order must match plan compilation"
+    );
+    let (built, lookup);
+    let (schedule, prefetch, notes, served) = match options.service {
+        None => {
+            let (plan, notes) = compile(&job, options)?;
+            built = plan;
+            (&built.0, built.1.as_ref(), notes, None)
+        }
+        Some(service) => {
+            // Before the lookup, which may note cache events on a trace.
+            let predicted = match options.tuning {
+                None => Some(job.build(None, false)?.0),
+                Some(_) => None,
             };
-            (
-                tbs_tiled_schedule(a_ref, c_ref, alpha, &plan)?,
-                tbs_tiled_cost(n, m, &plan)?,
-            )
-        }
-        SyrkAlgorithm::SquareBlocks => {
-            let plan = OocSyrkPlan::with_tile(t)?;
-            if plan.working_set() > s {
-                return Err(OocError::Invalid(format!(
-                    "square tile {t} needs {} elements, capacity is {s}",
-                    plan.working_set()
-                )));
-            }
-            (
-                ooc_syrk_schedule(a_ref, c_ref, alpha, &plan)?,
-                ooc_syrk_cost(n, m, &plan),
-            )
-        }
-    })
-}
-
-/// [`cholesky_schedule_for`] with an explicit tile override (`Some(t)` =
-/// LBC panel width, or the square tile side for the Béreux baseline).
-pub(crate) fn cholesky_schedule_with_tile<T: Scalar>(
-    algorithm: CholeskyAlgorithm,
-    window: &SymWindowRef,
-    s: usize,
-    tile: Option<usize>,
-) -> Result<(Schedule<T>, IoEstimate)> {
-    let Some(t) = tile else {
-        return cholesky_schedule_for(algorithm, window, s);
-    };
-    let n = window.order();
-    let trailing = match algorithm {
-        CholeskyAlgorithm::Lbc => TrailingUpdate::Tbs,
-        CholeskyAlgorithm::LbcTiled => TrailingUpdate::TbsTiled,
-        CholeskyAlgorithm::LbcSquare => TrailingUpdate::OocSyrk,
-        CholeskyAlgorithm::Bereux => {
-            let plan = OocCholPlan::with_tile(t)?;
-            return Ok((ooc_chol_schedule(window, &plan), ooc_chol_cost(n, &plan)));
+            lookup = service.plan(&job, options)?;
+            let notes = Notes {
+                predicted,
+                stages: Vec::new(),
+                tuning: None,
+            };
+            let served = Served {
+                source: lookup.source,
+                key_hash: lookup.key_hash,
+            };
+            let plan = &lookup.plan;
+            (plan.schedule(), plan.prefetch(), notes, Some(served))
         }
     };
-    let plan = LbcPlan::for_problem(n, s)?
-        .with_block(t)?
-        .with_trailing(trailing);
-    Ok((lbc_schedule(window, &plan)?, lbc_cost(n, &plan)?))
-}
-
-/// [`gemm_schedule_for`] with an explicit square-tile override.
-pub(crate) fn gemm_schedule_with_tile<T: Scalar>(
-    a_ref: &PanelRef,
-    b_ref: &PanelRef,
-    c_ref: &PanelRef,
-    alpha: T,
-    s: usize,
-    tile: Option<usize>,
-) -> Result<(Schedule<T>, IoEstimate)> {
-    let Some(t) = tile else {
-        return gemm_schedule_for(a_ref, b_ref, c_ref, alpha, s);
+    let empty = PrefetchPlan::default();
+    let prefetch = prefetch.unwrap_or(&empty);
+    let (mut machine, measured, trace) = match (options.model, options.recorder) {
+        (None, _) => {
+            replay(&mut machine, schedule, prefetch)?;
+            (machine, None, None)
+        }
+        (Some(model), None) => {
+            let mut priced = LatencyMachine::new(machine, *model);
+            replay(&mut priced, schedule, prefetch)?;
+            let measured = priced.time();
+            (priced.into_inner(), Some(measured), None)
+        }
+        (Some(model), Some(recorder)) => {
+            let mut observed = InstrumentedMachine::new(machine, *model, recorder.clone(), 0);
+            let outcome = replay(&mut observed, schedule, prefetch);
+            // Drained on failure too: no event leaks into the next trace.
+            let trace = recorder.finish();
+            outcome?;
+            let measured = observed.time();
+            (observed.into_inner(), Some(measured), Some(trace))
+        }
     };
-    let plan = OocGemmPlan::with_tile(t)?;
-    let cost = ooc_gemm_cost(a_ref.rows(), a_ref.cols(), b_ref.cols(), &plan);
-    Ok((ooc_gemm_schedule(a_ref, b_ref, c_ref, alpha, &plan)?, cost))
-}
-
-/// Builds the schedule and analytic cost of the square-block out-of-core
-/// GEMM (the non-symmetric comparison point; there is a single schedule, so
-/// no algorithm enum).
-pub(crate) fn gemm_schedule_for<T: Scalar>(
-    a_ref: &PanelRef,
-    b_ref: &PanelRef,
-    c_ref: &PanelRef,
-    alpha: T,
-    s: usize,
-) -> Result<(Schedule<T>, IoEstimate)> {
-    let plan = OocGemmPlan::for_memory(s)?;
-    let cost = ooc_gemm_cost(a_ref.rows(), a_ref.cols(), b_ref.cols(), &plan);
-    Ok((ooc_gemm_schedule(a_ref, b_ref, c_ref, alpha, &plan)?, cost))
-}
-
-/// Runs a pass pipeline over a schedule, translating pass errors into the
-/// workspace error type. The pipeline's residency budget is clamped to the
-/// machine capacity `s`: the optimized schedule must still execute within
-/// the same fast memory the caller asked for, whatever budget the pipeline
-/// was configured with. This clamp composes with the prefetch lookahead
-/// (`*_prefetched` entry points): the passes may grow group footprints up
-/// to `s`, and the prefetch planner then admits lookahead loads only into
-/// whatever slack `s − footprint` the *optimized* schedule actually leaves
-/// — prefetch slack is taken from the schedule the passes produced, never
-/// assumed — so an optimized-and-prefetched execution still peaks within
-/// `s` (asserted by the prefetch test sweep and the `ab_prefetch` gate).
-/// An empty unverified pipeline (the plain API paths)
-/// skips the pass manager entirely and returns `None` for the seed stats —
-/// the caller reuses its measured execution stats, which the engine
-/// invariants guarantee equal the dry run of the (unchanged) schedule.
-pub(crate) fn optimize_schedule<T: Scalar>(
-    schedule: Schedule<T>,
-    pipeline: &PassPipeline,
-    s: usize,
-) -> Result<(Schedule<T>, Option<IoStats>, Vec<StageOutcome>)> {
-    if pipeline.is_noop() && !pipeline.verify {
-        return Ok((schedule, None, Vec::new()));
-    }
-    let clamped = match pipeline.budget {
-        Some(budget) if budget > s => pipeline.clone().with_budget(Some(s)),
-        _ => pipeline.clone(),
+    let clock = match (measured, options.model) {
+        (Some(measured), Some(model)) => Some(WallClock {
+            measured,
+            modelled: modelled_time_planned(schedule, model, prefetch)?,
+        }),
+        _ => None,
     };
-    let optimized = clamped
-        .manager::<T>()
-        .optimize(&schedule, "main")
-        .map_err(|e| OocError::Invalid(format!("pass pipeline: {e}")))?;
-    Ok((
-        optimized.schedule,
-        Some(optimized.seed_stats),
-        optimized.stages,
-    ))
+    let stats = machine.stats().clone();
+    let result = extract(&mut machine)?;
+    let run = Run {
+        report: job.report(stats, notes.predicted.unwrap_or_default()),
+        stages: notes.stages,
+        clock,
+        trace,
+        tuning: notes.tuning,
+        served,
+        predicted: notes.predicted.is_some(),
+    };
+    Ok((result, run))
 }
 
 /// Runs an out-of-core SYRK (`C += alpha·A·Aᵀ`) with the requested schedule
-/// under a fast memory of `s` elements, updating `c` in place and returning
-/// the run report.
+/// under a fast memory of `s` elements and the given options, updating `c`
+/// in place. Every option combination is bitwise-identical in `c`.
+pub fn syrk_out_of_core_with<T: Scalar>(
+    a: &Matrix<T>,
+    c: &mut SymMatrix<T>,
+    alpha: T,
+    s: usize,
+    algorithm: SyrkAlgorithm,
+    options: &RunOptions<'_, T>,
+) -> Result<Run> {
+    let (n, m) = (c.order(), a.cols());
+    if a.rows() != n {
+        return Err(OocError::Invalid(format!(
+            "SYRK operand mismatch: A is {}x{m} but C has order {n}",
+            a.rows()
+        )));
+    }
+    let job = Job::Syrk {
+        algorithm,
+        n,
+        m,
+        alpha,
+        s,
+    };
+    let register = |machine: &mut OocMachine<T>| {
+        vec![
+            machine.insert_dense(a.clone()),
+            machine.insert_symmetric(c.clone()),
+        ]
+    };
+    let extract = |machine: &mut OocMachine<T>| machine.take_symmetric(MatrixId::synthetic(1));
+    let (result, run) = run_job(job, options, register, extract)?;
+    *c = result;
+    Ok(run)
+}
+
+/// Runs an out-of-core Cholesky factorization of `a` with the requested
+/// schedule under a fast memory of `s` elements and the given options,
+/// returning the factor.
+pub fn cholesky_out_of_core_with<T: Scalar>(
+    a: &SymMatrix<T>,
+    s: usize,
+    algorithm: CholeskyAlgorithm,
+    options: &RunOptions<'_, T>,
+) -> Result<(LowerTriangular<T>, Run)> {
+    let n = a.order();
+    let job = Job::Cholesky { algorithm, n, s };
+    let register = |machine: &mut OocMachine<T>| vec![machine.insert_symmetric(a.clone())];
+    let extract = |machine: &mut OocMachine<T>| {
+        let result = machine.take_symmetric(MatrixId::synthetic(0))?;
+        Ok(LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j)))
+    };
+    run_job(job, options, register, extract)
+}
+
+/// Runs the square-block out-of-core GEMM (`C += alpha·A·B`, `A` `n×m`, `B`
+/// `m×p`) under a fast memory of `s` elements and the given options,
+/// updating `c` in place — the non-symmetric comparison point of the paper.
+///
+/// The report's `lower_bound` is the tight GEMM bound `2·n·m·p/√S` (also
+/// the best previously known one, so `prior_lower_bound` equals it); the
+/// `m` field holds the inner dimension, so
+/// [`RunReport::normalized_constant`] (which assumes an `n²m` flop count)
+/// is only meaningful when `p = n`.
+pub fn gemm_out_of_core_with<T: Scalar>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c: &mut Matrix<T>,
+    alpha: T,
+    s: usize,
+    options: &RunOptions<'_, T>,
+) -> Result<Run> {
+    let (n, m, p) = (a.rows(), a.cols(), b.cols());
+    if b.rows() != m || c.rows() != n || c.cols() != p {
+        return Err(OocError::Invalid(format!(
+            "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
+            b.rows(),
+            c.rows(),
+            c.cols()
+        )));
+    }
+    let job = Job::Gemm { n, m, p, alpha, s };
+    let register = |machine: &mut OocMachine<T>| {
+        vec![
+            machine.insert_dense(a.clone()),
+            machine.insert_dense(b.clone()),
+            machine.insert_dense(c.clone()),
+        ]
+    };
+    let extract = |machine: &mut OocMachine<T>| machine.take_dense(MatrixId::synthetic(2));
+    let (result, run) = run_job(job, options, register, extract)?;
+    *c = result;
+    Ok(run)
+}
+
+/// [`syrk_out_of_core_with`] with the default options, returning the run
+/// report.
 pub fn syrk_out_of_core<T: Scalar>(
     a: &Matrix<T>,
     c: &mut SymMatrix<T>,
@@ -447,209 +994,22 @@ pub fn syrk_out_of_core<T: Scalar>(
     s: usize,
     algorithm: SyrkAlgorithm,
 ) -> Result<RunReport> {
-    syrk_out_of_core_optimized(a, c, alpha, s, algorithm, &PassPipeline::none())
-        .map(|run| run.report)
+    syrk_out_of_core_with(a, c, alpha, s, algorithm, &RunOptions::new()).map(|run| run.report)
 }
 
-/// Runs an out-of-core SYRK with the requested schedule **after optimizing
-/// it** with the given pass pipeline. The schedule is built, rewritten by
-/// the pipeline (with per-pass dry-run accounting) and replayed by the
-/// generic engine; the report's stats measure the optimized execution.
-///
-/// A pipeline residency budget larger than `s` is clamped to `s`: the
-/// optimized schedule always executes within the fast memory the caller
-/// asked for.
-///
-/// ```
-/// use symla_core::api::{syrk_out_of_core_optimized, SyrkAlgorithm};
-/// use symla_core::passes::PassPipeline;
-/// use symla_matrix::{generate, SymMatrix};
-///
-/// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
-/// let mut c = SymMatrix::zeros(40);
-/// let run = syrk_out_of_core_optimized(
-///     &a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::standard(),
-/// ).unwrap();
-/// assert!(run.seed_prediction_matches());
-/// assert!(run.events_saved() > 0); // coalesced contiguous loads
-/// assert!(run.loads_saved() >= 0);
-/// ```
-pub fn syrk_out_of_core_optimized<T: Scalar>(
-    a: &Matrix<T>,
-    c: &mut SymMatrix<T>,
-    alpha: T,
-    s: usize,
-    algorithm: SyrkAlgorithm,
-    pipeline: &PassPipeline,
-) -> Result<OptimizedRun> {
-    syrk_out_of_core_prefetched(a, c, alpha, s, algorithm, pipeline, 0)
-}
-
-/// Runs an out-of-core SYRK with the requested schedule, optimized by the
-/// given pass pipeline **and replayed with a prefetch lookahead of
-/// `lookahead` task groups** (0 = plain serial replay): while one group
-/// computes, the engine issues the loads of up to `lookahead` future groups
-/// into the capacity slack the (optimized) schedule leaves free, so the
-/// returned stats report a strictly smaller stalled-load volume whenever
-/// the slack admits any overlap — see
-/// [`IoStats::stalled_loads`] / [`IoStats::overlap_ratio`](symla_memory::IoStats::overlap_ratio).
-/// Results are bitwise-identical to the non-prefetching run and the peak
-/// residency still respects `s`.
-///
-/// ```
-/// use symla_core::api::{syrk_out_of_core_prefetched, SyrkAlgorithm};
-/// use symla_core::passes::PassPipeline;
-/// use symla_matrix::{generate, SymMatrix};
-///
-/// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
-/// let mut c = SymMatrix::zeros(40);
-/// let run = syrk_out_of_core_prefetched(
-///     &a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::none(), 1,
-/// ).unwrap();
-/// // Some of the load stream overlapped the previous group's compute ...
-/// assert!(run.report.stats.prefetched_elements > 0);
-/// // ... within the same fast-memory capacity.
-/// assert!(run.report.stats.peak_resident <= 60);
-/// ```
-pub fn syrk_out_of_core_prefetched<T: Scalar>(
-    a: &Matrix<T>,
-    c: &mut SymMatrix<T>,
-    alpha: T,
-    s: usize,
-    algorithm: SyrkAlgorithm,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-) -> Result<OptimizedRun> {
-    let n = c.order();
-    let m = a.cols();
-    if a.rows() != n {
-        return Err(OocError::Invalid(format!(
-            "SYRK operand mismatch: A is {}x{} but C has order {n}",
-            a.rows(),
-            m
-        )));
-    }
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let a_id = machine.insert_dense(a.clone());
-    let c_id = machine.insert_symmetric(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let c_ref = SymWindowRef::full(c_id, n);
-
-    let (schedule, predicted) = syrk_schedule_for(algorithm, &a_ref, &c_ref, alpha, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    )?;
-
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    *c = machine.take_symmetric(c_id)?;
-    Ok(OptimizedRun {
-        report: RunReport {
-            algorithm: algorithm.name().to_string(),
-            n,
-            m: Some(m),
-            memory: s,
-            stats,
-            predicted,
-            lower_bound: bounds::syrk_lower_bound(n as f64, m as f64, s as f64),
-            prior_lower_bound: bounds::syrk_lower_bound_prior(n as f64, m as f64, s as f64),
-        },
-        seed_stats,
-        stages,
-    })
-}
-
-/// Runs an out-of-core Cholesky factorization of `a` with the requested
-/// schedule under a fast memory of `s` elements, returning the factor and the
-/// run report.
+/// [`cholesky_out_of_core_with`] with the default options, returning the
+/// factor and the run report.
 pub fn cholesky_out_of_core<T: Scalar>(
     a: &SymMatrix<T>,
     s: usize,
     algorithm: CholeskyAlgorithm,
 ) -> Result<(LowerTriangular<T>, RunReport)> {
-    cholesky_out_of_core_optimized(a, s, algorithm, &PassPipeline::none())
+    cholesky_out_of_core_with(a, s, algorithm, &RunOptions::new())
         .map(|(factor, run)| (factor, run.report))
 }
 
-/// Runs an out-of-core Cholesky factorization **after optimizing the
-/// schedule** with the given pass pipeline (see
-/// [`syrk_out_of_core_optimized`]).
-pub fn cholesky_out_of_core_optimized<T: Scalar>(
-    a: &SymMatrix<T>,
-    s: usize,
-    algorithm: CholeskyAlgorithm,
-    pipeline: &PassPipeline,
-) -> Result<(LowerTriangular<T>, OptimizedRun)> {
-    cholesky_out_of_core_prefetched(a, s, algorithm, pipeline, 0)
-}
-
-/// Runs an out-of-core Cholesky factorization with the schedule optimized
-/// by the given pipeline and replayed with a prefetch lookahead of
-/// `lookahead` task groups (see [`syrk_out_of_core_prefetched`]). The
-/// left-looking factorizations order their groups through slow memory, so
-/// the planner's freshness rule keeps any load of a region still pending a
-/// write at its original program point — lookahead only overlaps what is
-/// provably safe, and the factor is bitwise-identical at every lookahead.
-pub fn cholesky_out_of_core_prefetched<T: Scalar>(
-    a: &SymMatrix<T>,
-    s: usize,
-    algorithm: CholeskyAlgorithm,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-) -> Result<(LowerTriangular<T>, OptimizedRun)> {
-    let n = a.order();
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let id = machine.insert_symmetric(a.clone());
-    let window = SymWindowRef::full(id, n);
-
-    let (schedule, predicted) = cholesky_schedule_for(algorithm, &window, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    let outcome = Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    );
-    machine.set_phase("main");
-    outcome?;
-
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    let result = machine.take_symmetric(id)?;
-    let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-    Ok((
-        factor,
-        OptimizedRun {
-            report: RunReport {
-                algorithm: algorithm.name().to_string(),
-                n,
-                m: None,
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bounds::cholesky_lower_bound(n as f64, s as f64),
-                prior_lower_bound: bounds::cholesky_lower_bound_prior(n as f64, s as f64),
-            },
-            seed_stats,
-            stages,
-        },
-    ))
-}
-
-/// Runs the out-of-core GEMM (`C += alpha·A·B`, `A` `n×m`, `B` `m×p`) with
-/// the square-block schedule under a fast memory of `s` elements, updating
-/// `c` in place and returning the run report.
-///
-/// The non-symmetric comparison point of the paper, exposed with the same
-/// entry-point symmetry as SYRK and Cholesky
-/// ([`gemm_out_of_core_optimized`], [`gemm_out_of_core_prefetched`]). The
-/// report's `lower_bound` is the tight GEMM bound `2·n·m·p/√S` (also the
-/// best previously known one, so `prior_lower_bound` equals it); the
-/// `m` field holds the inner dimension, so
-/// [`RunReport::normalized_constant`] (which assumes an `n²m` flop count)
-/// is only meaningful when `p = n`.
+/// [`gemm_out_of_core_with`] with the default options, returning the run
+/// report.
 ///
 /// ```
 /// use symla_core::api::gemm_out_of_core;
@@ -669,362 +1029,12 @@ pub fn gemm_out_of_core<T: Scalar>(
     alpha: T,
     s: usize,
 ) -> Result<RunReport> {
-    gemm_out_of_core_optimized(a, b, c, alpha, s, &PassPipeline::none()).map(|run| run.report)
+    gemm_out_of_core_with(a, b, c, alpha, s, &RunOptions::new()).map(|run| run.report)
 }
 
-/// Runs the out-of-core GEMM **after optimizing the schedule** with the
-/// given pass pipeline (see [`syrk_out_of_core_optimized`]; the residency
-/// clamp to `s` applies identically).
-pub fn gemm_out_of_core_optimized<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    alpha: T,
-    s: usize,
-    pipeline: &PassPipeline,
-) -> Result<OptimizedRun> {
-    gemm_out_of_core_prefetched(a, b, c, alpha, s, pipeline, 0)
-}
-
-/// Runs the out-of-core GEMM with the schedule optimized by the given
-/// pipeline and replayed with a prefetch lookahead of `lookahead` task
-/// groups (see [`syrk_out_of_core_prefetched`]). Result blocks are
-/// independent, so lookahead overlaps freely and the result stays
-/// bitwise-identical.
-pub fn gemm_out_of_core_prefetched<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    alpha: T,
-    s: usize,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-) -> Result<OptimizedRun> {
-    let (n, m) = (a.rows(), a.cols());
-    let p = b.cols();
-    if b.rows() != m || c.rows() != n || c.cols() != p {
-        return Err(OocError::Invalid(format!(
-            "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-            b.rows(),
-            c.rows(),
-            c.cols()
-        )));
-    }
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let a_id = machine.insert_dense(a.clone());
-    let b_id = machine.insert_dense(b.clone());
-    let c_id = machine.insert_dense(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let b_ref = PanelRef::dense(b_id, m, p);
-    let c_ref = PanelRef::dense(c_id, n, p);
-
-    let (schedule, predicted) = gemm_schedule_for(&a_ref, &b_ref, &c_ref, alpha, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    )?;
-
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    *c = machine.take_dense(c_id)?;
-    let bound = bounds::gemm_lower_bound(n as f64, m as f64, p as f64, s as f64);
-    Ok(OptimizedRun {
-        report: RunReport {
-            algorithm: "OOC_GEMM(rect)".to_string(),
-            n,
-            m: Some(m),
-            memory: s,
-            stats,
-            predicted,
-            lower_bound: bound,
-            prior_lower_bound: bound,
-        },
-        seed_stats,
-        stages,
-    })
-}
-
-/// Wall-clock view of one out-of-core run under a [`MachineModel`]: the
-/// time a [`LatencyMachine`] accumulated while the schedule really executed
-/// (`measured`) next to the prediction of [`modelled_time`] (`modelled`),
-/// which replays the schedule on a data-less machine.
-///
-/// The two are the same replay through the same clock and must agree
-/// **bitwise** — [`WallClock::consistent`] is the cheap self-check the
-/// benchmarks gate on. `measured` is still *modelled* nanoseconds (the machine is simulated);
-/// real elapsed time is the benchmark harness's job.
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock {
-    /// Time accumulated by the [`LatencyMachine`] during the execution.
-    pub measured: TimeStats,
-    /// Time predicted by [`modelled_time`] from the schedule alone.
-    pub modelled: TimeStats,
-}
-
-impl WallClock {
-    /// Whether the measured and modelled accounts agree bitwise (they must:
-    /// a mismatch means the timing model and the engine disagree about the
-    /// replay's event stream).
-    pub fn consistent(&self) -> bool {
-        self.measured.io_ns.to_bits() == self.modelled.io_ns.to_bits()
-            && self.measured.compute_ns.to_bits() == self.modelled.compute_ns.to_bits()
-            && self.measured.hidden_ns.to_bits() == self.modelled.hidden_ns.to_bits()
-            && self.measured.groups == self.modelled.groups
-    }
-}
-
-/// [`syrk_out_of_core_prefetched`] with the machine wrapped in a
-/// [`LatencyMachine`] pricing every transfer and flop against `model`:
-/// returns the run plus its [`WallClock`]. The I/O accounting, results and
-/// capacity behaviour are identical to the untimed entry point; prefetched
-/// loads are accounted as overlapped with the issuing group's compute, so
-/// sweeping `lookahead` yields a deterministic speedup curve.
-///
-/// ```
-/// use symla_core::api::{syrk_out_of_core_timed, SyrkAlgorithm};
-/// use symla_core::passes::PassPipeline;
-/// use symla_matrix::{generate, SymMatrix};
-/// use symla_memory::MachineModel;
-///
-/// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
-/// let model = MachineModel::nvme();
-/// let mut c = SymMatrix::zeros(40);
-/// let (_, serial) = syrk_out_of_core_timed(
-///     &a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::none(), 0, &model,
-/// ).unwrap();
-/// let mut c = SymMatrix::zeros(40);
-/// let (_, overlapped) = syrk_out_of_core_timed(
-///     &a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::none(), 1, &model,
-/// ).unwrap();
-/// assert!(serial.consistent() && overlapped.consistent());
-/// // Same transfers, but the lookahead hides loads behind compute.
-/// assert!(overlapped.measured.total_ns() < serial.measured.total_ns());
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn syrk_out_of_core_timed<T: Scalar>(
-    a: &Matrix<T>,
-    c: &mut SymMatrix<T>,
-    alpha: T,
-    s: usize,
-    algorithm: SyrkAlgorithm,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-    model: &MachineModel,
-) -> Result<(OptimizedRun, WallClock)> {
-    let n = c.order();
-    let m = a.cols();
-    if a.rows() != n {
-        return Err(OocError::Invalid(format!(
-            "SYRK operand mismatch: A is {}x{} but C has order {n}",
-            a.rows(),
-            m
-        )));
-    }
-    let mut machine = LatencyMachine::new(OocMachine::new(MachineConfig::with_capacity(s)), *model);
-    let a_id = machine.inner_mut().insert_dense(a.clone());
-    let c_id = machine.inner_mut().insert_symmetric(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let c_ref = SymWindowRef::full(c_id, n);
-
-    let (schedule, predicted) = syrk_schedule_for(algorithm, &a_ref, &c_ref, alpha, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    )?;
-
-    let clock = WallClock {
-        measured: machine.time(),
-        modelled: modelled_time(&schedule, model, lookahead, Some(s)),
-    };
-    let mut machine = machine.into_inner();
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    *c = machine.take_symmetric(c_id)?;
-    Ok((
-        OptimizedRun {
-            report: RunReport {
-                algorithm: algorithm.name().to_string(),
-                n,
-                m: Some(m),
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bounds::syrk_lower_bound(n as f64, m as f64, s as f64),
-                prior_lower_bound: bounds::syrk_lower_bound_prior(n as f64, m as f64, s as f64),
-            },
-            seed_stats,
-            stages,
-        },
-        clock,
-    ))
-}
-
-/// [`cholesky_out_of_core_prefetched`] under a [`LatencyMachine`] (see
-/// [`syrk_out_of_core_timed`]): returns the factor, the run and its
-/// [`WallClock`].
-pub fn cholesky_out_of_core_timed<T: Scalar>(
-    a: &SymMatrix<T>,
-    s: usize,
-    algorithm: CholeskyAlgorithm,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-    model: &MachineModel,
-) -> Result<(LowerTriangular<T>, OptimizedRun, WallClock)> {
-    let n = a.order();
-    let mut machine = LatencyMachine::new(OocMachine::new(MachineConfig::with_capacity(s)), *model);
-    let id = machine.inner_mut().insert_symmetric(a.clone());
-    let window = SymWindowRef::full(id, n);
-
-    let (schedule, predicted) = cholesky_schedule_for(algorithm, &window, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    let outcome = Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    );
-    machine.inner_mut().set_phase("main");
-    outcome?;
-
-    let clock = WallClock {
-        measured: machine.time(),
-        modelled: modelled_time(&schedule, model, lookahead, Some(s)),
-    };
-    let mut machine = machine.into_inner();
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    let result = machine.take_symmetric(id)?;
-    let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-    Ok((
-        factor,
-        OptimizedRun {
-            report: RunReport {
-                algorithm: algorithm.name().to_string(),
-                n,
-                m: None,
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bounds::cholesky_lower_bound(n as f64, s as f64),
-                prior_lower_bound: bounds::cholesky_lower_bound_prior(n as f64, s as f64),
-            },
-            seed_stats,
-            stages,
-        },
-        clock,
-    ))
-}
-
-/// [`gemm_out_of_core_prefetched`] under a [`LatencyMachine`] (see
-/// [`syrk_out_of_core_timed`]): returns the run and its [`WallClock`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_out_of_core_timed<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    alpha: T,
-    s: usize,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-    model: &MachineModel,
-) -> Result<(OptimizedRun, WallClock)> {
-    let (n, m) = (a.rows(), a.cols());
-    let p = b.cols();
-    if b.rows() != m || c.rows() != n || c.cols() != p {
-        return Err(OocError::Invalid(format!(
-            "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-            b.rows(),
-            c.rows(),
-            c.cols()
-        )));
-    }
-    let mut machine = LatencyMachine::new(OocMachine::new(MachineConfig::with_capacity(s)), *model);
-    let a_id = machine.inner_mut().insert_dense(a.clone());
-    let b_id = machine.inner_mut().insert_dense(b.clone());
-    let c_id = machine.inner_mut().insert_dense(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let b_ref = PanelRef::dense(b_id, m, p);
-    let c_ref = PanelRef::dense(c_id, n, p);
-
-    let (schedule, predicted) = gemm_schedule_for(&a_ref, &b_ref, &c_ref, alpha, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    )?;
-
-    let clock = WallClock {
-        measured: machine.time(),
-        modelled: modelled_time(&schedule, model, lookahead, Some(s)),
-    };
-    let mut machine = machine.into_inner();
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    *c = machine.take_dense(c_id)?;
-    let bound = bounds::gemm_lower_bound(n as f64, m as f64, p as f64, s as f64);
-    Ok((
-        OptimizedRun {
-            report: RunReport {
-                algorithm: "OOC_GEMM(rect)".to_string(),
-                n,
-                m: Some(m),
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bound,
-                prior_lower_bound: bound,
-            },
-            seed_stats,
-            stages,
-        },
-        clock,
-    ))
-}
-
-/// Observability bundle of one `*_out_of_core_traced` run: the structured
-/// event trace, the unified metrics report and the wall-clock view.
-#[derive(Debug, Clone)]
-pub struct TracedRun {
-    /// Every observable event of the replay (group spans, transfers,
-    /// kernels, prefetch issue→delivery pairs), double-stamped with the
-    /// real clock and the modelled timeline — export with
-    /// [`RunTrace::to_chrome_trace`](symla_obs::RunTrace::to_chrome_trace).
-    pub trace: RunTrace,
-    /// Machine-readable metrics: the engine's [`IoStats`] under the
-    /// `engine.*` namespace and both sides of `clock` under `time.measured.*`
-    /// / `time.modelled.*`. The aggregate counters equal the engine's own
-    /// accounting exactly (asserted by the `ab_obs` gate).
-    pub report: symla_obs::RunReport,
-    /// Measured-vs-modelled wall clock, bitwise-consistent as in the
-    /// `*_timed` twins.
-    pub clock: WallClock,
-}
-
-/// Builds the [`TracedRun::report`] metrics from a finished run.
-fn observability_report(label: String, stats: &IoStats, clock: &WallClock) -> symla_obs::RunReport {
-    let mut report = symla_obs::RunReport::new(label);
-    report.registry.record_io_stats("engine", stats);
-    report
-        .registry
-        .record_time_stats("time.measured", &clock.measured);
-    report
-        .registry
-        .record_time_stats("time.modelled", &clock.modelled);
-    report
-}
-
-/// [`syrk_out_of_core_timed`] with full observability: the machine is
-/// wrapped in an [`InstrumentedMachine`]
-/// recording every transfer, kernel and prefetch handoff into `recorder`,
-/// and the returned [`TracedRun`] carries the event trace, a
-/// [`RunReport`](symla_obs::RunReport) of unified metrics and the
-/// [`WallClock`]. Results, [`IoStats`] and capacity behaviour are identical
-/// to the unobserved entry points (asserted by the observer-invariance
-/// tests); the modelled timeline is bitwise the `*_timed` twin's.
+/// [`syrk_out_of_core_with`] traced (see [`RunOptions::traced`]) at the
+/// given pipeline and lookahead, with the trace and clock moved into the
+/// returned [`TracedRun`].
 ///
 /// ```
 /// use symla_core::api::{syrk_out_of_core_traced, SyrkAlgorithm};
@@ -1055,74 +1065,16 @@ pub fn syrk_out_of_core_traced<T: Scalar>(
     lookahead: usize,
     model: &MachineModel,
     recorder: &TraceRecorder,
-) -> Result<(OptimizedRun, TracedRun)> {
-    let n = c.order();
-    let m = a.cols();
-    if a.rows() != n {
-        return Err(OocError::Invalid(format!(
-            "SYRK operand mismatch: A is {}x{} but C has order {n}",
-            a.rows(),
-            m
-        )));
-    }
-    let mut machine = InstrumentedMachine::new(
-        OocMachine::new(MachineConfig::with_capacity(s)),
-        *model,
-        recorder.clone(),
-        0,
-    );
-    let a_id = machine.inner_mut().insert_dense(a.clone());
-    let c_id = machine.inner_mut().insert_symmetric(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let c_ref = SymWindowRef::full(c_id, n);
-
-    let (schedule, predicted) = syrk_schedule_for(algorithm, &a_ref, &c_ref, alpha, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    )?;
-
-    let clock = WallClock {
-        measured: machine.time(),
-        modelled: modelled_time(&schedule, model, lookahead, Some(s)),
-    };
-    let mut machine = machine.into_inner();
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    *c = machine.take_symmetric(c_id)?;
-    let traced = TracedRun {
-        trace: recorder.finish(),
-        report: observability_report(
-            format!("{} n={n} m={m} S={s} L={lookahead}", algorithm.name()),
-            &stats,
-            &clock,
-        ),
-        clock,
-    };
-    Ok((
-        OptimizedRun {
-            report: RunReport {
-                algorithm: algorithm.name().to_string(),
-                n,
-                m: Some(m),
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bounds::syrk_lower_bound(n as f64, m as f64, s as f64),
-                prior_lower_bound: bounds::syrk_lower_bound_prior(n as f64, m as f64, s as f64),
-            },
-            seed_stats,
-            stages,
-        },
-        traced,
-    ))
+) -> Result<(Run, TracedRun)> {
+    let options = RunOptions::new()
+        .pipeline(pipeline.clone())
+        .lookahead(lookahead)
+        .traced(model, recorder);
+    syrk_out_of_core_with(a, c, alpha, s, algorithm, &options).map(TracedRun::split)
 }
 
-/// [`cholesky_out_of_core_timed`] with full observability (see
-/// [`syrk_out_of_core_traced`]): returns the factor, the run and its
-/// [`TracedRun`].
+/// [`cholesky_out_of_core_with`] traced (see [`syrk_out_of_core_traced`]):
+/// returns the factor, the run and its [`TracedRun`].
 pub fn cholesky_out_of_core_traced<T: Scalar>(
     a: &SymMatrix<T>,
     s: usize,
@@ -1131,200 +1083,18 @@ pub fn cholesky_out_of_core_traced<T: Scalar>(
     lookahead: usize,
     model: &MachineModel,
     recorder: &TraceRecorder,
-) -> Result<(LowerTriangular<T>, OptimizedRun, TracedRun)> {
-    let n = a.order();
-    let mut machine = InstrumentedMachine::new(
-        OocMachine::new(MachineConfig::with_capacity(s)),
-        *model,
-        recorder.clone(),
-        0,
-    );
-    let id = machine.inner_mut().insert_symmetric(a.clone());
-    let window = SymWindowRef::full(id, n);
-
-    let (schedule, predicted) = cholesky_schedule_for(algorithm, &window, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    let outcome = Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    );
-    machine.inner_mut().set_phase("main");
-    outcome?;
-
-    let clock = WallClock {
-        measured: machine.time(),
-        modelled: modelled_time(&schedule, model, lookahead, Some(s)),
-    };
-    let mut machine = machine.into_inner();
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    let result = machine.take_symmetric(id)?;
-    let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-    let traced = TracedRun {
-        trace: recorder.finish(),
-        report: observability_report(
-            format!("{} n={n} S={s} L={lookahead}", algorithm.name()),
-            &stats,
-            &clock,
-        ),
-        clock,
-    };
-    Ok((
-        factor,
-        OptimizedRun {
-            report: RunReport {
-                algorithm: algorithm.name().to_string(),
-                n,
-                m: None,
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bounds::cholesky_lower_bound(n as f64, s as f64),
-                prior_lower_bound: bounds::cholesky_lower_bound_prior(n as f64, s as f64),
-            },
-            seed_stats,
-            stages,
-        },
-        traced,
-    ))
-}
-
-/// [`gemm_out_of_core_timed`] with full observability (see
-/// [`syrk_out_of_core_traced`]): returns the run and its [`TracedRun`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_out_of_core_traced<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    alpha: T,
-    s: usize,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-    model: &MachineModel,
-    recorder: &TraceRecorder,
-) -> Result<(OptimizedRun, TracedRun)> {
-    let (n, m) = (a.rows(), a.cols());
-    let p = b.cols();
-    if b.rows() != m || c.rows() != n || c.cols() != p {
-        return Err(OocError::Invalid(format!(
-            "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-            b.rows(),
-            c.rows(),
-            c.cols()
-        )));
-    }
-    let mut machine = InstrumentedMachine::new(
-        OocMachine::new(MachineConfig::with_capacity(s)),
-        *model,
-        recorder.clone(),
-        0,
-    );
-    let a_id = machine.inner_mut().insert_dense(a.clone());
-    let b_id = machine.inner_mut().insert_dense(b.clone());
-    let c_id = machine.inner_mut().insert_dense(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let b_ref = PanelRef::dense(b_id, m, p);
-    let c_ref = PanelRef::dense(c_id, n, p);
-
-    let (schedule, predicted) = gemm_schedule_for(&a_ref, &b_ref, &c_ref, alpha, s)?;
-    let (schedule, seed_stats, stages) = optimize_schedule(schedule, pipeline, s)?;
-    Engine::execute_with(
-        &mut machine,
-        &schedule,
-        &EngineConfig::with_lookahead(lookahead),
-    )?;
-
-    let clock = WallClock {
-        measured: machine.time(),
-        modelled: modelled_time(&schedule, model, lookahead, Some(s)),
-    };
-    let mut machine = machine.into_inner();
-    let stats = machine.stats().clone();
-    let seed_stats = seed_stats.unwrap_or_else(|| stats.clone());
-    *c = machine.take_dense(c_id)?;
-    let bound = bounds::gemm_lower_bound(n as f64, m as f64, p as f64, s as f64);
-    let traced = TracedRun {
-        trace: recorder.finish(),
-        report: observability_report(
-            format!("OOC_GEMM(rect) n={n} m={m} p={p} S={s} L={lookahead}"),
-            &stats,
-            &clock,
-        ),
-        clock,
-    };
-    Ok((
-        OptimizedRun {
-            report: RunReport {
-                algorithm: "OOC_GEMM(rect)".to_string(),
-                n,
-                m: Some(m),
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bound,
-                prior_lower_bound: bound,
-            },
-            seed_stats,
-            stages,
-        },
-        traced,
-    ))
-}
-
-/// Runs an out-of-core SYRK through a [`PlanService`]: the schedule (and, for
-/// `lookahead > 0`, its prefetch plan) is fetched from the content-addressed
-/// cache — compiled at most once per problem shape — and replayed on the
-/// data. Results are bitwise-identical to [`syrk_out_of_core_prefetched`]
-/// with the same arguments; on a cache hit no pass-pipeline or
-/// prefetch-planner work happens at all.
-#[allow(clippy::too_many_arguments)]
-pub fn syrk_out_of_core_cached<T: Scalar>(
-    service: &PlanService<T>,
-    a: &Matrix<T>,
-    c: &mut SymMatrix<T>,
-    alpha: T,
-    s: usize,
-    algorithm: SyrkAlgorithm,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-) -> Result<ServedRun> {
-    service.syrk(a, c, alpha, s, algorithm, pipeline, lookahead)
-}
-
-/// Runs an out-of-core Cholesky factorization through a [`PlanService`]
-/// (see [`syrk_out_of_core_cached`]); bitwise-identical to
-/// [`cholesky_out_of_core_prefetched`].
-pub fn cholesky_out_of_core_cached<T: Scalar>(
-    service: &PlanService<T>,
-    a: &SymMatrix<T>,
-    s: usize,
-    algorithm: CholeskyAlgorithm,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-) -> Result<(LowerTriangular<T>, ServedRun)> {
-    service.cholesky(a, s, algorithm, pipeline, lookahead)
-}
-
-/// Runs the out-of-core GEMM through a [`PlanService`] (see
-/// [`syrk_out_of_core_cached`]); bitwise-identical to
-/// [`gemm_out_of_core_prefetched`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_out_of_core_cached<T: Scalar>(
-    service: &PlanService<T>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    alpha: T,
-    s: usize,
-    pipeline: &PassPipeline,
-    lookahead: usize,
-) -> Result<ServedRun> {
-    service.gemm(a, b, c, alpha, s, pipeline, lookahead)
+) -> Result<(LowerTriangular<T>, Run, TracedRun)> {
+    let options = RunOptions::new()
+        .pipeline(pipeline.clone())
+        .lookahead(lookahead)
+        .traced(model, recorder);
+    let (factor, run) = cholesky_out_of_core_with(a, s, algorithm, &options)?;
+    let (run, traced) = TracedRun::split(run);
+    Ok((factor, run, traced))
 }
 
 // ---------------------------------------------------------------------------
-// Autotuned entry points
+// Default tuning spaces
 // ---------------------------------------------------------------------------
 
 /// Pushes `tile` unless it is already present (candidate lists stay short
@@ -1335,14 +1105,29 @@ fn push_tile(tiles: &mut Vec<Option<usize>>, tile: Option<usize>) {
     }
 }
 
-/// The stock pipeline axis every default space shares: no passes, the
-/// standard pipeline, and locality reordering budgeted at the capacity.
-fn default_pipelines(s: usize) -> Vec<PassPipeline> {
-    vec![
-        PassPipeline::none(),
-        PassPipeline::standard(),
-        PassPipeline::locality(Some(s)),
-    ]
+/// A space over `tiles` and the stock axes every default space shares: no
+/// passes, the standard pipeline and locality reordering budgeted at the
+/// capacity; lookaheads 0–2; serial replay.
+fn default_space(tiles: Vec<Option<usize>>, s: usize) -> TuningSpace {
+    TuningSpace::minimal()
+        .with_tiles(tiles)
+        .with_pipelines(vec![
+            PassPipeline::none(),
+            PassPipeline::standard(),
+            PassPipeline::locality(Some(s)),
+        ])
+        .with_lookaheads(vec![0, 1, 2])
+}
+
+/// The planner-default tile plus `3t/4` and `t/2` of the square tile `t`
+/// that fits `s`.
+fn square_tiles(s: usize) -> Vec<Option<usize>> {
+    let mut tiles = vec![None];
+    if let Ok(t) = symla_baselines::params::square_tile_for_capacity(s) {
+        push_tile(&mut tiles, Some((3 * t / 4).max(1)));
+        push_tile(&mut tiles, Some((t / 2).max(1)));
+    }
+    tiles
 }
 
 /// The default [`TuningSpace`] of a SYRK instance: the planner-default tile
@@ -1366,17 +1151,9 @@ pub fn syrk_tuning_space(n: usize, s: usize, algorithm: SyrkAlgorithm) -> Tuning
                 push_tile(&mut tiles, Some(plan.k.saturating_sub(1).max(2)));
             }
         }
-        SyrkAlgorithm::SquareBlocks => {
-            if let Ok(t) = symla_baselines::params::square_tile_for_capacity(s) {
-                push_tile(&mut tiles, Some((3 * t / 4).max(1)));
-                push_tile(&mut tiles, Some((t / 2).max(1)));
-            }
-        }
+        SyrkAlgorithm::SquareBlocks => tiles = square_tiles(s),
     }
-    TuningSpace::minimal()
-        .with_tiles(tiles)
-        .with_pipelines(default_pipelines(s))
-        .with_lookaheads(vec![0, 1, 2])
+    default_space(tiles, s)
 }
 
 /// The default [`TuningSpace`] of a Cholesky instance; see
@@ -1384,314 +1161,25 @@ pub fn syrk_tuning_space(n: usize, s: usize, algorithm: SyrkAlgorithm) -> Tuning
 ///
 /// The LBC variants keep the planner-default panel width: changing the
 /// panel width changes the *order* the factor's partial sums accumulate in,
-/// so the result would no longer be bitwise-identical to the other API
-/// variants (the invariant the differential tests and the `ab_autotune`
-/// gate hold every entry point to). The Béreux baseline's square tile only
+/// so the result would no longer be bitwise-identical to the other option
+/// combinations (the invariant the differential tests and the `ab_autotune`
+/// gate hold every run to). The Béreux baseline's square tile only
 /// re-chunks each element's ascending-`k` accumulation chain, which leaves
 /// the bytes unchanged, so its tile axis is searchable. Callers who accept
 /// numerically-different-but-valid factors can still pass a custom space
 /// with LBC panel-width candidates.
 pub fn cholesky_tuning_space(_n: usize, s: usize, algorithm: CholeskyAlgorithm) -> TuningSpace {
-    let mut tiles = vec![None];
-    if algorithm == CholeskyAlgorithm::Bereux {
-        if let Ok(t) = symla_baselines::params::square_tile_for_capacity(s) {
-            push_tile(&mut tiles, Some((3 * t / 4).max(1)));
-            push_tile(&mut tiles, Some((t / 2).max(1)));
-        }
-    }
-    TuningSpace::minimal()
-        .with_tiles(tiles)
-        .with_pipelines(default_pipelines(s))
-        .with_lookaheads(vec![0, 1, 2])
+    let tiles = match algorithm {
+        CholeskyAlgorithm::Bereux => square_tiles(s),
+        _ => vec![None],
+    };
+    default_space(tiles, s)
 }
 
 /// The default [`TuningSpace`] of a GEMM instance; see
 /// [`syrk_tuning_space`].
 pub fn gemm_tuning_space(s: usize) -> TuningSpace {
-    let mut tiles = vec![None];
-    if let Ok(t) = symla_baselines::params::square_tile_for_capacity(s) {
-        push_tile(&mut tiles, Some((3 * t / 4).max(1)));
-        push_tile(&mut tiles, Some((t / 2).max(1)));
-    }
-    TuningSpace::minimal()
-        .with_tiles(tiles)
-        .with_pipelines(default_pipelines(s))
-        .with_lookaheads(vec![0, 1, 2])
-}
-
-/// Outcome of an autotuned out-of-core run: the executed winner (a regular
-/// [`OptimizedRun`]) plus the full [`TuningReport`] of the search that
-/// chose it. The tuning itself never executes anything — every candidate
-/// is scored by dry run and [`modelled_time`] — so the report's winner
-/// stats equal the measured execution stats exactly.
-#[derive(Debug, Clone)]
-pub struct AutotunedRun {
-    /// The executed winner; `run.report.stats` measures the real replay.
-    pub run: OptimizedRun,
-    /// The search: every scored candidate, the winner index, skip counts.
-    pub tuning: TuningReport,
-}
-
-impl AutotunedRun {
-    /// The winner's configuration.
-    pub fn config(&self) -> &symla_sched::autotune::TunedConfig {
-        self.tuning.best_config()
-    }
-}
-
-/// Maps a tuner failure into the workspace error type.
-fn tune_err(e: TuneError) -> OocError {
-    OocError::Invalid(format!("autotune: {e}"))
-}
-
-/// Runs the tuner for a serial API twin: validates the worker axis (serial
-/// twins replay on one machine) and hands back the winner's artifacts.
-pub(crate) fn tune_serial<T: Scalar, F>(
-    build: F,
-    space: &TuningSpace,
-    model: &MachineModel,
-    s: usize,
-) -> Result<Tuned<T>>
-where
-    F: Fn(Option<usize>) -> std::result::Result<Schedule<T>, String>,
-{
-    if space.workers.iter().any(|&w| w != 1) {
-        return Err(OocError::Invalid(
-            "serial autotuned entry points require workers == [1]; \
-             tune parallel partitions directly through the Tuner"
-                .into(),
-        ));
-    }
-    Tuner::new(model, s)
-        .tune_schedules(build, space)
-        .map_err(tune_err)
-}
-
-/// Replays a tuned winner: `execute_planned` with the tuned prefetch plan
-/// when one exists, the plain fast path otherwise (exactly the schedule and
-/// plan the tuner scored — no re-planning).
-fn execute_tuned<T: Scalar, M: symla_memory::MachineOps<T>>(
-    machine: &mut M,
-    tuned: &Tuned<T>,
-) -> std::result::Result<(), symla_sched::EngineError> {
-    if tuned.plan.is_empty() {
-        Engine::execute(machine, &tuned.schedule)
-    } else {
-        Engine::execute_planned(machine, &tuned.schedule, &tuned.plan)
-    }
-}
-
-/// Runs an out-of-core SYRK with the configuration an exhaustive
-/// cost-model search picked from `space`: tile size, pass pipeline and
-/// prefetch lookahead are chosen by scoring every candidate **without
-/// executing anything** (dry-run [`IoStats`] + [`modelled_time`] against
-/// `model`), then only the winner is executed on the data.
-///
-/// With a default space ([`syrk_tuning_space`]) the winner is never worse
-/// than the [`PassPipeline::standard`] run at lookahead 0 in modelled time,
-/// and the result is bitwise-identical to every other API variant.
-///
-/// ```
-/// use symla_core::api::{syrk_out_of_core_autotuned, syrk_tuning_space, SyrkAlgorithm};
-/// use symla_matrix::{generate, SymMatrix};
-/// use symla_memory::MachineModel;
-///
-/// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
-/// let mut c = SymMatrix::zeros(40);
-/// let space = syrk_tuning_space(40, 60, SyrkAlgorithm::TbsTiled);
-/// let model = MachineModel::nvme();
-/// let run = syrk_out_of_core_autotuned(
-///     &a, &mut c, 1.0, 60, SyrkAlgorithm::TbsTiled, &space, &model,
-/// ).unwrap();
-/// // The measured replay is exactly what the search scored.
-/// assert_eq!(run.run.report.stats, run.tuning.winner().stats);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn syrk_out_of_core_autotuned<T: Scalar>(
-    a: &Matrix<T>,
-    c: &mut SymMatrix<T>,
-    alpha: T,
-    s: usize,
-    algorithm: SyrkAlgorithm,
-    space: &TuningSpace,
-    model: &MachineModel,
-) -> Result<AutotunedRun> {
-    let n = c.order();
-    let m = a.cols();
-    if a.rows() != n {
-        return Err(OocError::Invalid(format!(
-            "SYRK operand mismatch: A is {}x{} but C has order {n}",
-            a.rows(),
-            m
-        )));
-    }
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let a_id = machine.insert_dense(a.clone());
-    let c_id = machine.insert_symmetric(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let c_ref = SymWindowRef::full(c_id, n);
-
-    let tuned = tune_serial(
-        |tile| {
-            syrk_schedule_with_tile(algorithm, &a_ref, &c_ref, alpha, s, tile)
-                .map(|(schedule, _)| schedule)
-                .map_err(|e| e.to_string())
-        },
-        space,
-        model,
-        s,
-    )?;
-    // Rebuild the winner's seed for the analytic prediction and seed stats
-    // (data-free; the executed schedule is the tuned one, untouched).
-    let winner_tile = tuned.report.best_config().tile;
-    let (seed, predicted) =
-        syrk_schedule_with_tile(algorithm, &a_ref, &c_ref, alpha, s, winner_tile)?;
-    let seed_stats = Engine::dry_run(&seed, "main");
-    execute_tuned(&mut machine, &tuned)?;
-
-    let stats = machine.stats().clone();
-    *c = machine.take_symmetric(c_id)?;
-    Ok(AutotunedRun {
-        run: OptimizedRun {
-            report: RunReport {
-                algorithm: algorithm.name().to_string(),
-                n,
-                m: Some(m),
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bounds::syrk_lower_bound(n as f64, m as f64, s as f64),
-                prior_lower_bound: bounds::syrk_lower_bound_prior(n as f64, m as f64, s as f64),
-            },
-            seed_stats,
-            stages: tuned.stages.clone(),
-        },
-        tuning: tuned.report,
-    })
-}
-
-/// Runs an out-of-core Cholesky factorization with the configuration the
-/// cost-model search picked from `space` (see
-/// [`syrk_out_of_core_autotuned`]).
-pub fn cholesky_out_of_core_autotuned<T: Scalar>(
-    a: &SymMatrix<T>,
-    s: usize,
-    algorithm: CholeskyAlgorithm,
-    space: &TuningSpace,
-    model: &MachineModel,
-) -> Result<(LowerTriangular<T>, AutotunedRun)> {
-    let n = a.order();
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let id = machine.insert_symmetric(a.clone());
-    let window = SymWindowRef::full(id, n);
-
-    let tuned = tune_serial(
-        |tile| {
-            cholesky_schedule_with_tile(algorithm, &window, s, tile)
-                .map(|(schedule, _)| schedule)
-                .map_err(|e| e.to_string())
-        },
-        space,
-        model,
-        s,
-    )?;
-    let winner_tile = tuned.report.best_config().tile;
-    let (seed, predicted) = cholesky_schedule_with_tile::<T>(algorithm, &window, s, winner_tile)?;
-    let seed_stats = Engine::dry_run(&seed, "main");
-    let outcome = execute_tuned(&mut machine, &tuned);
-    machine.set_phase("main");
-    outcome?;
-
-    let stats = machine.stats().clone();
-    let result = machine.take_symmetric(id)?;
-    let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-    Ok((
-        factor,
-        AutotunedRun {
-            run: OptimizedRun {
-                report: RunReport {
-                    algorithm: algorithm.name().to_string(),
-                    n,
-                    m: None,
-                    memory: s,
-                    stats,
-                    predicted,
-                    lower_bound: bounds::cholesky_lower_bound(n as f64, s as f64),
-                    prior_lower_bound: bounds::cholesky_lower_bound_prior(n as f64, s as f64),
-                },
-                seed_stats,
-                stages: tuned.stages.clone(),
-            },
-            tuning: tuned.report,
-        },
-    ))
-}
-
-/// Runs the out-of-core GEMM with the configuration the cost-model search
-/// picked from `space` (see [`syrk_out_of_core_autotuned`]).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_out_of_core_autotuned<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    alpha: T,
-    s: usize,
-    space: &TuningSpace,
-    model: &MachineModel,
-) -> Result<AutotunedRun> {
-    let (n, m) = (a.rows(), a.cols());
-    let p = b.cols();
-    if b.rows() != m || c.rows() != n || c.cols() != p {
-        return Err(OocError::Invalid(format!(
-            "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-            b.rows(),
-            c.rows(),
-            c.cols()
-        )));
-    }
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let a_id = machine.insert_dense(a.clone());
-    let b_id = machine.insert_dense(b.clone());
-    let c_id = machine.insert_dense(c.clone());
-    let a_ref = PanelRef::dense(a_id, n, m);
-    let b_ref = PanelRef::dense(b_id, m, p);
-    let c_ref = PanelRef::dense(c_id, n, p);
-
-    let tuned = tune_serial(
-        |tile| {
-            gemm_schedule_with_tile(&a_ref, &b_ref, &c_ref, alpha, s, tile)
-                .map(|(schedule, _)| schedule)
-                .map_err(|e| e.to_string())
-        },
-        space,
-        model,
-        s,
-    )?;
-    let winner_tile = tuned.report.best_config().tile;
-    let (seed, predicted) = gemm_schedule_with_tile(&a_ref, &b_ref, &c_ref, alpha, s, winner_tile)?;
-    let seed_stats = Engine::dry_run(&seed, "main");
-    execute_tuned(&mut machine, &tuned)?;
-
-    let stats = machine.stats().clone();
-    *c = machine.take_dense(c_id)?;
-    let bound = bounds::gemm_lower_bound(n as f64, m as f64, p as f64, s as f64);
-    Ok(AutotunedRun {
-        run: OptimizedRun {
-            report: RunReport {
-                algorithm: "OOC_GEMM(rect)".to_string(),
-                n,
-                m: Some(m),
-                memory: s,
-                stats,
-                predicted,
-                lower_bound: bound,
-                prior_lower_bound: bound,
-            },
-            seed_stats,
-            stages: tuned.stages.clone(),
-        },
-        tuning: tuned.report,
-    })
+    default_space(square_tiles(s), s)
 }
 
 #[cfg(test)]
@@ -1760,6 +1248,19 @@ mod tests {
         assert_eq!(loads.len(), 4);
     }
 
+    /// `syrk_out_of_core_with` at a pipeline and lookahead.
+    fn syrk_at(
+        a: &Matrix<f64>,
+        c: &mut SymMatrix<f64>,
+        s: usize,
+        algo: SyrkAlgorithm,
+        pipeline: PassPipeline,
+        lookahead: usize,
+    ) -> Run {
+        let options = RunOptions::new().pipeline(pipeline).lookahead(lookahead);
+        syrk_out_of_core_with(a, c, 1.0, s, algo, &options).unwrap()
+    }
+
     #[test]
     fn prefetched_api_overlaps_loads_and_preserves_results() {
         let n = 40;
@@ -1777,16 +1278,7 @@ mod tests {
             let plain = syrk_out_of_core(&a, &mut base, 1.0, s, algo).unwrap();
             for lookahead in [1usize, 2] {
                 let mut c = c0.clone();
-                let run = syrk_out_of_core_prefetched(
-                    &a,
-                    &mut c,
-                    1.0,
-                    s,
-                    algo,
-                    &PassPipeline::none(),
-                    lookahead,
-                )
-                .unwrap();
+                let run = syrk_at(&a, &mut c, s, algo, PassPipeline::none(), lookahead);
                 let ctx = format!("{} L={lookahead}", algo.name());
                 assert!(c == base, "{ctx}: bitwise result");
                 assert_eq!(run.report.stats.volume, plain.stats.volume, "{ctx}");
@@ -1799,30 +1291,26 @@ mod tests {
         }
         // Tiled TBS at this size has real slack: the overlap is strict.
         let mut c = c0.clone();
-        let run = syrk_out_of_core_prefetched(
+        let run = syrk_at(
             &a,
             &mut c,
-            1.0,
             s,
             SyrkAlgorithm::TbsTiled,
-            &PassPipeline::none(),
+            PassPipeline::none(),
             1,
-        )
-        .unwrap();
+        );
         assert!(run.report.stats.prefetched_elements > 0);
 
         // Optimized + prefetched still respects s (the clamp composes).
         let mut c = c0.clone();
-        let run = syrk_out_of_core_prefetched(
+        let run = syrk_at(
             &a,
             &mut c,
-            1.0,
             s,
             SyrkAlgorithm::TbsTiled,
-            &PassPipeline::locality(Some(4 * s)),
+            PassPipeline::locality(Some(4 * s)),
             2,
-        )
-        .unwrap();
+        );
         assert!(run.report.stats.peak_resident <= s);
         let mut base = c0.clone();
         syrk_out_of_core(&a, &mut base, 1.0, s, SyrkAlgorithm::TbsTiled).unwrap();
@@ -1837,9 +1325,8 @@ mod tests {
         for algo in [CholeskyAlgorithm::Lbc, CholeskyAlgorithm::Bereux] {
             let (base, _) = cholesky_out_of_core(&a, s, algo).unwrap();
             for lookahead in [1usize, 3] {
-                let (factor, run) =
-                    cholesky_out_of_core_prefetched(&a, s, algo, &PassPipeline::none(), lookahead)
-                        .unwrap();
+                let options = RunOptions::new().lookahead(lookahead);
+                let (factor, run) = cholesky_out_of_core_with(&a, s, algo, &options).unwrap();
                 let ctx = format!("{} L={lookahead}", algo.name());
                 assert!(factor == base, "{ctx}");
                 assert!(run.report.stats.peak_resident <= s, "{ctx}");
@@ -1872,8 +1359,10 @@ mod tests {
             (PassPipeline::standard(), 2),
         ] {
             let mut c = c0.clone();
-            let run =
-                gemm_out_of_core_prefetched(&a, &b, &mut c, 0.75, s, &pipeline, lookahead).unwrap();
+            let options = RunOptions::new()
+                .pipeline(pipeline.clone())
+                .lookahead(lookahead);
+            let run = gemm_out_of_core_with(&a, &b, &mut c, 0.75, s, &options).unwrap();
             assert!(c == base, "pipeline {pipeline:?} L={lookahead}");
             assert!(run.report.stats.peak_resident <= s);
             assert!(run.loads_saved() >= 0);
@@ -1901,17 +1390,18 @@ mod tests {
 
             let space = syrk_tuning_space(n, s, algo);
             let mut c = c0.clone();
-            let run = syrk_out_of_core_autotuned(&a, &mut c, 1.0, s, algo, &space, &model).unwrap();
+            let options = RunOptions::new().tuned(&space, &model);
+            let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, algo, &options).unwrap();
+            let tuning = run.tuning.as_ref().unwrap();
             let ctx = algo.name();
             assert!(c == base, "{ctx}: autotuned result must be bitwise-equal");
-            assert!(run.run.report.stats.peak_resident <= s, "{ctx}");
-            assert!(run.run.seed_prediction_matches(), "{ctx}");
+            assert!(run.report.stats.peak_resident <= s, "{ctx}");
+            assert!(run.seed_prediction_matches(), "{ctx}");
             // The measured replay is exactly what the search scored.
-            assert_eq!(run.run.report.stats, run.tuning.winner().stats, "{ctx}");
+            assert_eq!(run.report.stats, tuning.winner().stats, "{ctx}");
             // The standard pipeline at lookahead 0 is in the space; the
             // winner must model at most its time.
-            let standard_l0 = run
-                .tuning
+            let standard_l0 = tuning
                 .candidates
                 .iter()
                 .find(|cand| {
@@ -1921,10 +1411,10 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{ctx}: standard@L0 candidate missing"));
             assert!(
-                run.tuning.winner().modelled_ns <= standard_l0.modelled_ns,
+                tuning.winner().modelled_ns <= standard_l0.modelled_ns,
                 "{ctx}"
             );
-            assert!(run.tuning.winner().gap_to_bound.unwrap() >= 0.9, "{ctx}");
+            assert!(tuning.winner().gap_to_bound.unwrap() >= 0.9, "{ctx}");
         }
     }
 
@@ -1937,10 +1427,10 @@ mod tests {
         for algo in [CholeskyAlgorithm::Lbc, CholeskyAlgorithm::Bereux] {
             let (base, _) = cholesky_out_of_core(&a, s, algo).unwrap();
             let space = cholesky_tuning_space(n, s, algo);
-            let (factor, run) =
-                cholesky_out_of_core_autotuned(&a, s, algo, &space, &model).unwrap();
+            let options = RunOptions::new().tuned(&space, &model);
+            let (factor, run) = cholesky_out_of_core_with(&a, s, algo, &options).unwrap();
             assert!(factor == base, "{}: bitwise factor", algo.name());
-            assert_eq!(run.run.report.stats, run.tuning.winner().stats);
+            assert_eq!(run.report.stats, run.tuning.unwrap().winner().stats);
         }
 
         let (n, m, p, s) = (18usize, 7usize, 13usize, 30usize);
@@ -1951,9 +1441,10 @@ mod tests {
         gemm_out_of_core(&a, &b, &mut base, 0.75, s).unwrap();
         let space = gemm_tuning_space(s);
         let mut c = c0.clone();
-        let run = gemm_out_of_core_autotuned(&a, &b, &mut c, 0.75, s, &space, &model).unwrap();
+        let options = RunOptions::new().tuned(&space, &model);
+        let run = gemm_out_of_core_with(&a, &b, &mut c, 0.75, s, &options).unwrap();
         assert!(c == base, "GEMM: bitwise result");
-        assert_eq!(run.run.report.stats, run.tuning.winner().stats);
+        assert_eq!(run.report.stats, run.tuning.unwrap().winner().stats);
     }
 
     #[test]
@@ -1961,16 +1452,10 @@ mod tests {
         let a: Matrix<f64> = random_matrix_seeded(20, 4, 66);
         let mut c = SymMatrix::<f64>::zeros(20);
         let space = syrk_tuning_space(20, 30, SyrkAlgorithm::SquareBlocks).with_workers(vec![1, 2]);
-        let err = syrk_out_of_core_autotuned(
-            &a,
-            &mut c,
-            1.0,
-            30,
-            SyrkAlgorithm::SquareBlocks,
-            &space,
-            &MachineModel::dram(),
-        )
-        .unwrap_err();
+        let model = MachineModel::dram();
+        let options = RunOptions::new().tuned(&space, &model);
+        let err = syrk_out_of_core_with(&a, &mut c, 1.0, 30, SyrkAlgorithm::SquareBlocks, &options)
+            .unwrap_err();
         assert!(err.to_string().contains("workers"));
     }
 

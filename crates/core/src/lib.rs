@@ -17,8 +17,10 @@
 //!   fast-memory capacity;
 //! * [`oi`] — the operational-intensity comparison against GEMM / LU
 //!   (the `√2` headline);
-//! * [`api`] — one-call entry points returning the factor/result together
-//!   with a full I/O report;
+//! * [`api`] — one entry point per kernel (`*_out_of_core_with`) returning
+//!   the factor/result together with a full I/O report, its modes
+//!   (passes, prefetch, pricing, tracing, tuning, plan cache) chosen by one
+//!   [`api::RunOptions`];
 //! * [`engine`] — the schedule-IR execution engine: every algorithm above is
 //!   a *schedule builder* whose IR the engine replays in execute, dry-run,
 //!   trace or execute-parallel mode;
@@ -26,7 +28,7 @@
 //!   `symla_sched::passes`): a [`passes::PassManager`] chaining
 //!   equivalence-verified IR rewrites (redundant-load elimination and
 //!   coalescing, dead-store elimination, locality reordering), exposed as
-//!   the `optimize` knob of [`api`] and A/B-accounted by the experiment
+//!   [`api::RunOptions::pipeline`] and A/B-accounted by the experiment
 //!   harness;
 //! * [`parallel`] — a shared-slow-memory parallel SYRK executed for real on
 //!   `P` capacity-checked workers with per-worker communication accounting
@@ -35,7 +37,8 @@
 //! * [`service`] — the compile-once/replay-many serve layer: a
 //!   [`service::PlanService`] backed by the content-addressed plan cache of
 //!   `symla-plancache` (in-memory LRU + optional disk tier) that acquires
-//!   plans by problem shape and replays cache hits with zero planner work.
+//!   plans by problem shape ([`api::Job`]) and replays cache hits with zero
+//!   planner work ([`api::RunOptions::cached`]).
 //!
 //! All schedules execute on the capacity-enforced two-level machine of
 //! `symla-memory` through the generic engine; their measured I/O is tested
@@ -64,15 +67,11 @@ pub use symla_sched::passes;
 pub use symla_sched::autotune;
 
 pub use api::{
-    cholesky_out_of_core, cholesky_out_of_core_autotuned, cholesky_out_of_core_cached,
-    cholesky_out_of_core_optimized, cholesky_out_of_core_prefetched, cholesky_out_of_core_timed,
-    cholesky_out_of_core_traced, cholesky_tuning_space, gemm_out_of_core,
-    gemm_out_of_core_autotuned, gemm_out_of_core_cached, gemm_out_of_core_optimized,
-    gemm_out_of_core_prefetched, gemm_out_of_core_timed, gemm_out_of_core_traced,
-    gemm_tuning_space, syrk_out_of_core, syrk_out_of_core_autotuned, syrk_out_of_core_cached,
-    syrk_out_of_core_optimized, syrk_out_of_core_prefetched, syrk_out_of_core_timed,
-    syrk_out_of_core_traced, syrk_tuning_space, AutotunedRun, CholeskyAlgorithm, OptimizedRun,
-    RunReport, SyrkAlgorithm, TracedRun, WallClock,
+    cholesky_out_of_core, cholesky_out_of_core_traced, cholesky_out_of_core_with,
+    cholesky_tuning_space, gemm_out_of_core, gemm_out_of_core_with, gemm_tuning_space,
+    syrk_out_of_core, syrk_out_of_core_traced, syrk_out_of_core_with, syrk_tuning_space,
+    CholeskyAlgorithm, Job, Run, RunOptions, RunReport, Served, SyrkAlgorithm, TracedRun,
+    WallClock,
 };
 pub use autotune::{Tuner, TuningReport, TuningSpace};
 pub use engine::{Engine, EngineConfig, EngineError, Schedule, ScheduleBuilder};
@@ -81,7 +80,7 @@ pub use lbc::{
 };
 pub use passes::{PassManager, PassPipeline};
 pub use plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
-pub use service::{PlanService, ServedParallelRun, ServedRun, SharedPlanService};
+pub use service::{PlanService, ServedParallelRun, SharedPlanService};
 pub use tbs::{
     tbs_build, tbs_cost, tbs_decomposition, tbs_execute, tbs_schedule, TbsDecomposition,
 };

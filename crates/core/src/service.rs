@@ -1,23 +1,22 @@
 //! The compile-once / replay-many serve layer over the plan cache.
 //!
 //! Compiling a plan — emitting the schedule IR, running the optimization
-//! pass pipeline, planning the prefetch lookahead — depends only on the
-//! problem *shape* (kernel, `n`, `m`, `S`, pipeline, lookahead, `α`), never
-//! on the operand values. [`PlanService`] exploits that: it keys every
+//! pass pipeline, planning the prefetch lookahead, or searching a tuning
+//! space — depends only on the problem *shape* (a [`Job`] plus the
+//! pipeline and lookahead, or the tuning space and its model), never on
+//! the operand values. [`PlanService`] exploits that: it keys every
 //! compiled plan by shape in a [`PlanCache`] (in-memory LRU plus optional
-//! disk tier, single-flight under concurrency) and executes cache hits with
-//! **zero planner work**:
+//! disk tier, single-flight under concurrency), and a run whose
+//! [`RunOptions`] name the service replays cache hits with **zero planner
+//! work**: the cached prefetch plan goes straight to
+//! [`Engine::execute_planned`](symla_sched::Engine::execute_planned), and
+//! parallel replays hand the cached partition schedule straight to
+//! `Engine::execute_parallel_with`.
 //!
-//! * serial replays go through `Engine::execute` (no lookahead) or
-//!   [`Engine::execute_planned`] (the prefetch plan was compiled and cached
-//!   alongside the schedule, so the hit path never re-plans);
-//! * parallel replays hand the cached partition schedule straight to
-//!   `Engine::execute_parallel_with`.
-//!
-//! Schedules are compiled against machine-issued operand ids, which start
-//! at 0 per machine in insertion order — the service registers operands in
-//! the same order the plan was compiled for, so one cached plan replays on
-//! any machine and any data of the right shape.
+//! Plans are compiled against [`MatrixId::synthetic`] operand ids, and
+//! machine-issued ids start at 0 per machine in insertion order — every run
+//! registers its operands in the order the plan was compiled for, so one
+//! cached plan replays on any machine and any data of the right shape.
 //!
 //! ```
 //! use symla_core::api::SyrkAlgorithm;
@@ -33,13 +32,13 @@
 //! let cold = service
 //!     .syrk(&a, &mut c1, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::standard(), 1)
 //!     .unwrap();
-//! assert_eq!(cold.source, PlanSource::Compiled);
+//! assert_eq!(cold.served.unwrap().source, PlanSource::Compiled);
 //!
 //! let mut c2 = SymMatrix::zeros(40);
 //! let warm = service
 //!     .syrk(&a, &mut c2, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::standard(), 1)
 //!     .unwrap();
-//! assert_eq!(warm.source, PlanSource::Memory);
+//! assert_eq!(warm.served.unwrap().source, PlanSource::Memory);
 //! assert!(c1 == c2); // bitwise-identical execution
 //! assert_eq!(service.stats().compiles, 1);
 //! ```
@@ -48,55 +47,17 @@ use std::io;
 use std::sync::Arc;
 
 use crate::api::{
-    cholesky_schedule_for, cholesky_schedule_with_tile, gemm_schedule_for, gemm_schedule_with_tile,
-    optimize_schedule, syrk_schedule_for, syrk_schedule_with_tile, tune_serial, CholeskyAlgorithm,
-    SyrkAlgorithm,
+    cholesky_out_of_core_with, compile, syrk_out_of_core_with, CholeskyAlgorithm, Job, Run,
+    RunOptions, SyrkAlgorithm,
 };
 use crate::parallel::{partition_schedule_scaled, BlockStrategy, ParallelReport, WorkerIo};
 use symla_baselines::error::{OocError, Result};
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
-use symla_memory::MachineModel;
-use symla_memory::{
-    IoStats, MachineConfig, MachineOps, MatrixId, OocMachine, PanelRef, SharedSlowMemory,
-    SymWindowRef,
-};
-use symla_obs::{EventKind, InstrumentedMachine, RunReport, TraceRecorder};
-use symla_plancache::{
-    CacheStats, CachedPlan, Lookup, PlanCache, PlanCacheConfig, PlanKey, PlanSource,
-};
-use symla_sched::autotune::{model_fingerprint, TuningSpace};
-use symla_sched::{Engine, EngineConfig, PassPipeline, PrefetchPlan, Schedule};
-
-/// Outcome of one served (cache-mediated) execution.
-#[derive(Debug, Clone)]
-pub struct ServedRun {
-    /// Measured machine statistics of this replay.
-    pub stats: IoStats,
-    /// Where the plan came from (compiled, memory hit, disk hit, coalesced).
-    pub source: PlanSource,
-    /// The cache's content hash for the plan key.
-    pub key_hash: u64,
-}
-
-impl ServedRun {
-    /// This replay's statistics as a machine-readable [`RunReport`]: the
-    /// engine counters under `engine.*` plus a `plan.source.<variant>`
-    /// marker counter recording where the plan came from.
-    pub fn run_report(&self, label: impl Into<String>) -> RunReport {
-        let mut report = RunReport::new(label);
-        report.registry.record_io_stats("engine", &self.stats);
-        let source = match self.source {
-            PlanSource::Memory => "memory",
-            PlanSource::Disk => "disk",
-            PlanSource::Compiled => "compiled",
-            PlanSource::Coalesced => "coalesced",
-        };
-        report
-            .registry
-            .counter_add(&format!("plan.source.{source}"), 1);
-        report
-    }
-}
+use symla_memory::{MachineConfig, MatrixId, SharedSlowMemory};
+use symla_obs::{EventKind, RunReport};
+use symla_plancache::{CacheStats, Lookup, PlanCache, PlanCacheConfig, PlanKey, PlanSource};
+use symla_sched::autotune::model_fingerprint;
+use symla_sched::{Engine, EngineConfig, PassPipeline};
 
 /// Outcome of one served parallel execution.
 #[derive(Debug, Clone)]
@@ -109,48 +70,20 @@ pub struct ServedParallelRun {
     pub key_hash: u64,
 }
 
-/// "Get-or-compile the plan, then execute it on your data": a [`PlanCache`]
-/// plus the operand plumbing of the high-level API.
+/// "Get-or-compile the plan": a [`PlanCache`] keyed by [`Job`] and
+/// [`RunOptions`].
 ///
-/// The `*_plan` methods return the cached [`CachedPlan`] (schedule +
-/// optional prefetch plan + binary form) so callers can drive any engine
-/// mode themselves — `dry_run`, `trace`, or a custom machine. The kernel
-/// methods ([`syrk`](Self::syrk), [`cholesky`](Self::cholesky),
-/// [`gemm`](Self::gemm), [`syrk_parallel`](Self::syrk_parallel)) do the
-/// full serve: acquire the plan, register the operands in compile order,
-/// replay, extract the result.
+/// [`plan`](Self::plan) returns the cached
+/// [`CachedPlan`](symla_plancache::CachedPlan) (schedule + optional
+/// prefetch plan + binary form) so callers can drive any engine mode
+/// themselves — `dry_run`, `trace`, or a custom machine. Any run served
+/// through the cache is a `*_out_of_core_with` call whose options name the
+/// service ([`RunOptions::cached`]); [`syrk`](Self::syrk) and
+/// [`cholesky`](Self::cholesky) spell the common ones, and
+/// [`syrk_parallel`](Self::syrk_parallel) serves the parallel SYRK.
 #[derive(Debug)]
 pub struct PlanService<T: Scalar> {
     cache: PlanCache<T>,
-}
-
-/// Compiled-plan finalizer: plan the prefetch lookahead once, at compile
-/// time, against the capacity the key names. Lookahead 0 stores no plan and
-/// replays through the engine's plain fast path.
-fn finish_plan<T: Scalar>(
-    schedule: Schedule<T>,
-    lookahead: usize,
-    s: usize,
-) -> (Schedule<T>, Option<PrefetchPlan>) {
-    if lookahead == 0 {
-        (schedule, None)
-    } else {
-        let plan = PrefetchPlan::plan(&schedule, lookahead, Some(s));
-        (schedule, Some(plan))
-    }
-}
-
-/// Replays a cached plan on `machine`: `execute_planned` when a prefetch
-/// plan was compiled, the plain `execute` fast path otherwise. Either way,
-/// no pass-pipeline and no prefetch-planner work happens here.
-fn replay_cached<T: Scalar, M: MachineOps<T>>(
-    machine: &mut M,
-    plan: &CachedPlan<T>,
-) -> std::result::Result<(), symla_sched::EngineError> {
-    match plan.prefetch() {
-        Some(prefetch) => Engine::execute_planned(machine, plan.schedule(), prefetch),
-        None => Engine::execute(machine, plan.schedule()),
-    }
 }
 
 impl<T: Scalar> PlanService<T> {
@@ -187,61 +120,72 @@ impl<T: Scalar> PlanService<T> {
         report
     }
 
-    // -- keys ---------------------------------------------------------------
-
-    /// The plan key of a serial SYRK run (operands: `A` then `C`).
-    pub fn syrk_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("syrk/{}", algorithm.name()),
-            n,
-            m,
-            s,
-            pipeline.clone(),
-            lookahead,
-        )
-        .with_f64_param(alpha.to_f64())
+    /// The plan key of `job` under `options`. A plan is keyed by the
+    /// kernel, its dimensions, `S` and the parameters that reach the IR,
+    /// plus either the pipeline and lookahead or — for a tuned run, whose
+    /// pipeline, tile and lookahead are *outputs* of the search — the
+    /// fingerprints of the searched space and of the model it was scored
+    /// against (tuning for a different machine must miss).
+    pub fn key(job: &Job<T>, options: &RunOptions<'_, T>) -> PlanKey {
+        // Per kernel: builder name, the key's two dimensions, IR parameters.
+        let (kernel, n, m, params) = match *job {
+            Job::Syrk {
+                algorithm,
+                n,
+                m,
+                alpha,
+                ..
+            } => (
+                format!("syrk/{}", algorithm.name()),
+                n,
+                m,
+                vec![alpha.to_f64().to_bits()],
+            ),
+            Job::Cholesky { algorithm, n, .. } => {
+                (format!("cholesky/{}", algorithm.name()), n, n, vec![])
+            }
+            Job::Gemm { n, m, p, alpha, .. } => {
+                let params = vec![p as u64, alpha.to_f64().to_bits()];
+                ("gemm/OOC_GEMM(rect)".to_string(), n, m, params)
+            }
+        };
+        let (kernel, pipeline, lookahead, search) = match options.tuning {
+            None => (kernel, options.pipeline.clone(), options.lookahead, vec![]),
+            Some((space, model)) => {
+                let search = vec![space.fingerprint(), model_fingerprint(model)];
+                (
+                    format!("autotune/{kernel}"),
+                    PassPipeline::none(),
+                    0,
+                    search,
+                )
+            }
+        };
+        let key = PlanKey::new(kernel, n, m, job.capacity(), pipeline, lookahead);
+        params
+            .into_iter()
+            .chain(search)
+            .fold(key, PlanKey::with_raw_param)
     }
 
-    /// The plan key of a Cholesky run (operand: the symmetric matrix).
-    pub fn cholesky_key(
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("cholesky/{}", algorithm.name()),
-            n,
-            n,
-            s,
-            pipeline.clone(),
-            lookahead,
-        )
-    }
-
-    /// The plan key of a GEMM run (operands: `A`, `B`, then `C`; the inner
-    /// dimension `p` rides in the params).
-    pub fn gemm_key(
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> PlanKey {
-        PlanKey::new("gemm/OOC_GEMM(rect)", n, m, s, pipeline.clone(), lookahead)
-            .with_raw_param(p as u64)
-            .with_f64_param(alpha.to_f64())
+    /// Gets or compiles the plan of `job` under `options` (the tuner's
+    /// winner when the options tune). A traced `options` records the
+    /// lookup as [`EventKind::CacheLookup`] (plus
+    /// [`EventKind::CacheCompile`] on a miss).
+    pub fn plan(&self, job: &Job<T>, options: &RunOptions<'_, T>) -> Result<Lookup<T>> {
+        options.check()?;
+        let key = Self::key(job, options);
+        let lookup = self
+            .cache
+            .get_or_compile(&key, || compile(job, options).map(|(plan, _)| plan))?;
+        if let Some(recorder) = options.recorder {
+            let hit = lookup.source != PlanSource::Compiled;
+            recorder.note(0, EventKind::CacheLookup { hit });
+            if !hit {
+                recorder.note(0, EventKind::CacheCompile);
+            }
+        }
+        Ok(lookup)
     }
 
     /// The plan key of a parallel SYRK partition schedule (operands: `C`
@@ -285,147 +229,6 @@ impl<T: Scalar> PlanService<T> {
         Self::syrk_parallel_key(n, m, alpha, memory_per_node, strategy).with_hierarchy(&[], shards)
     }
 
-    /// The plan key of an autotuned SYRK run. The chosen pipeline, tile and
-    /// lookahead are *outputs* of the search, so they do not appear in the
-    /// key; what identifies the plan is the shape plus the fingerprints of
-    /// the searched [`TuningSpace`] and the [`MachineModel`] it was scored
-    /// against — tuning for a different machine must miss.
-    pub fn syrk_autotuned_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("autotune/syrk/{}", algorithm.name()),
-            n,
-            m,
-            s,
-            PassPipeline::none(),
-            0,
-        )
-        .with_f64_param(alpha.to_f64())
-        .with_raw_param(space.fingerprint())
-        .with_raw_param(model_fingerprint(model))
-    }
-
-    /// The plan key of an autotuned Cholesky run (see
-    /// [`syrk_autotuned_key`](Self::syrk_autotuned_key)).
-    pub fn cholesky_autotuned_key(
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("autotune/cholesky/{}", algorithm.name()),
-            n,
-            n,
-            s,
-            PassPipeline::none(),
-            0,
-        )
-        .with_raw_param(space.fingerprint())
-        .with_raw_param(model_fingerprint(model))
-    }
-
-    /// The plan key of an autotuned GEMM run (see
-    /// [`syrk_autotuned_key`](Self::syrk_autotuned_key)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_autotuned_key(
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> PlanKey {
-        PlanKey::new(
-            "autotune/gemm/OOC_GEMM(rect)",
-            n,
-            m,
-            s,
-            PassPipeline::none(),
-            0,
-        )
-        .with_raw_param(p as u64)
-        .with_f64_param(alpha.to_f64())
-        .with_raw_param(space.fingerprint())
-        .with_raw_param(model_fingerprint(model))
-    }
-
-    // -- plan acquisition ---------------------------------------------------
-
-    /// Gets or compiles the plan of a serial SYRK run. Compiled against
-    /// machine-issued ids in insertion order `A = 0`, `C = 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_plan(
-        &self,
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<Lookup<T>> {
-        let key = Self::syrk_key(n, m, alpha, s, algorithm, pipeline, lookahead);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-            let (schedule, _) = syrk_schedule_for(algorithm, &a_ref, &c_ref, alpha, s)?;
-            let (schedule, _, _) = optimize_schedule(schedule, pipeline, s)?;
-            Ok(finish_plan(schedule, lookahead, s))
-        })
-    }
-
-    /// Gets or compiles the plan of a Cholesky run (operand id 0).
-    pub fn cholesky_plan(
-        &self,
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<Lookup<T>> {
-        let key = Self::cholesky_key(n, s, algorithm, pipeline, lookahead);
-        self.cache.get_or_compile(&key, || {
-            let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-            let (schedule, _) = cholesky_schedule_for::<T>(algorithm, &window, s)?;
-            let (schedule, _, _) = optimize_schedule(schedule, pipeline, s)?;
-            Ok(finish_plan(schedule, lookahead, s))
-        })
-    }
-
-    /// Gets or compiles the plan of a GEMM run (ids `A = 0`, `B = 1`,
-    /// `C = 2`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_plan(
-        &self,
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<Lookup<T>> {
-        let key = Self::gemm_key(n, m, p, alpha, s, pipeline, lookahead);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let b_ref = PanelRef::dense(MatrixId::synthetic(1), m, p);
-            let c_ref = PanelRef::dense(MatrixId::synthetic(2), n, p);
-            let (schedule, _) = gemm_schedule_for(&a_ref, &b_ref, &c_ref, alpha, s)?;
-            let (schedule, _, _) = optimize_schedule(schedule, pipeline, s)?;
-            Ok(finish_plan(schedule, lookahead, s))
-        })
-    }
-
     /// Gets or compiles the partition schedule of a parallel SYRK run (ids
     /// `C = 0`, `A = 1`, matching [`crate::parallel::parallel_syrk`]).
     /// Group-to-worker assignment is dynamic, so no prefetch plan is cached;
@@ -445,107 +248,9 @@ impl<T: Scalar> PlanService<T> {
         })
     }
 
-    /// Gets or compiles the plan of an autotuned SYRK run: on a miss the
-    /// full cost-model search runs (dry runs and modelled time only — no
-    /// execution) and the *winner's* schedule and prefetch plan are cached;
-    /// a hit replays the tuned plan with zero tuner work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_autotuned_plan(
-        &self,
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<Lookup<T>> {
-        let key = Self::syrk_autotuned_key(n, m, alpha, s, algorithm, space, model);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-            let tuned = tune_serial(
-                |tile| {
-                    syrk_schedule_with_tile(algorithm, &a_ref, &c_ref, alpha, s, tile)
-                        .map(|(schedule, _)| schedule)
-                        .map_err(|e| e.to_string())
-                },
-                space,
-                model,
-                s,
-            )?;
-            let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
-            Ok((tuned.schedule, prefetch))
-        })
-    }
-
-    /// Gets or compiles the plan of an autotuned Cholesky run (see
-    /// [`syrk_autotuned_plan`](Self::syrk_autotuned_plan)).
-    pub fn cholesky_autotuned_plan(
-        &self,
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<Lookup<T>> {
-        let key = Self::cholesky_autotuned_key(n, s, algorithm, space, model);
-        self.cache.get_or_compile(&key, || {
-            let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-            let tuned = tune_serial(
-                |tile| {
-                    cholesky_schedule_with_tile::<T>(algorithm, &window, s, tile)
-                        .map(|(schedule, _)| schedule)
-                        .map_err(|e| e.to_string())
-                },
-                space,
-                model,
-                s,
-            )?;
-            let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
-            Ok((tuned.schedule, prefetch))
-        })
-    }
-
-    /// Gets or compiles the plan of an autotuned GEMM run (see
-    /// [`syrk_autotuned_plan`](Self::syrk_autotuned_plan)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_autotuned_plan(
-        &self,
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<Lookup<T>> {
-        let key = Self::gemm_autotuned_key(n, m, p, alpha, s, space, model);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let b_ref = PanelRef::dense(MatrixId::synthetic(1), m, p);
-            let c_ref = PanelRef::dense(MatrixId::synthetic(2), n, p);
-            let tuned = tune_serial(
-                |tile| {
-                    gemm_schedule_with_tile(&a_ref, &b_ref, &c_ref, alpha, s, tile)
-                        .map(|(schedule, _)| schedule)
-                        .map_err(|e| e.to_string())
-                },
-                space,
-                model,
-                s,
-            )?;
-            let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
-            Ok((tuned.schedule, prefetch))
-        })
-    }
-
-    // -- serve: get-or-compile + execute ------------------------------------
-
-    /// Serves an out-of-core SYRK (`C += alpha·A·Aᵀ`): plan from the cache,
-    /// replay on `a`/`c`. Bitwise-identical to
-    /// [`syrk_out_of_core_prefetched`](crate::api::syrk_out_of_core_prefetched)
-    /// with the same arguments.
+    /// Serves an out-of-core SYRK (`C += alpha·A·Aᵀ`) at the given pipeline
+    /// and lookahead: [`syrk_out_of_core_with`] with the plan from this
+    /// cache.
     #[allow(clippy::too_many_arguments)]
     pub fn syrk(
         &self,
@@ -556,98 +261,17 @@ impl<T: Scalar> PlanService<T> {
         algorithm: SyrkAlgorithm,
         pipeline: &PassPipeline,
         lookahead: usize,
-    ) -> Result<ServedRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "SYRK operand mismatch: A is {}x{m} but C has order {n}",
-                a.rows()
-            )));
-        }
-        let lookup = self.syrk_plan(n, m, alpha, s, algorithm, pipeline, lookahead)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let a_id = machine.insert_dense(a.clone());
-        let c_id = machine.insert_symmetric(c.clone());
-        debug_assert_eq!(
-            (a_id, c_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_symmetric(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
+    ) -> Result<Run> {
+        let options = RunOptions::new()
+            .pipeline(pipeline.clone())
+            .lookahead(lookahead)
+            .cached(self);
+        syrk_out_of_core_with(a, c, alpha, s, algorithm, &options)
     }
 
-    /// [`syrk`](Self::syrk) with the replay observed: cache traffic is
-    /// recorded as [`EventKind::CacheLookup`] / [`EventKind::CacheCompile`]
-    /// events, then the plan replays on an [`InstrumentedMachine`] so every
-    /// load, store, prefetch and compute lands on `recorder` with both real
-    /// and modelled timestamps. The numerical result and [`IoStats`] are
-    /// bitwise-identical to the unobserved serve.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_traced(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-        model: &MachineModel,
-        recorder: &TraceRecorder,
-    ) -> Result<ServedRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "SYRK operand mismatch: A is {}x{m} but C has order {n}",
-                a.rows()
-            )));
-        }
-        let lookup = self.syrk_plan(n, m, alpha, s, algorithm, pipeline, lookahead)?;
-        recorder.note(
-            0,
-            EventKind::CacheLookup {
-                hit: lookup.source != PlanSource::Compiled,
-            },
-        );
-        if lookup.source == PlanSource::Compiled {
-            recorder.note(0, EventKind::CacheCompile);
-        }
-        let mut machine = InstrumentedMachine::new(
-            OocMachine::new(MachineConfig::with_capacity(s)),
-            *model,
-            recorder.clone(),
-            0,
-        );
-        let a_id = machine.inner_mut().insert_dense(a.clone());
-        let c_id = machine.inner_mut().insert_symmetric(c.clone());
-        debug_assert_eq!(
-            (a_id, c_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        replay_cached(&mut machine, &lookup.plan)?;
-        let mut machine = machine.into_inner();
-        let stats = machine.stats().clone();
-        *c = machine.take_symmetric(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// Serves an out-of-core Cholesky factorization of `a`. Bitwise-identical
-    /// to
-    /// [`cholesky_out_of_core_prefetched`](crate::api::cholesky_out_of_core_prefetched).
+    /// Serves an out-of-core Cholesky factorization of `a` at the given
+    /// pipeline and lookahead: [`cholesky_out_of_core_with`] with the plan
+    /// from this cache.
     pub fn cholesky(
         &self,
         a: &SymMatrix<T>,
@@ -655,178 +279,12 @@ impl<T: Scalar> PlanService<T> {
         algorithm: CholeskyAlgorithm,
         pipeline: &PassPipeline,
         lookahead: usize,
-    ) -> Result<(LowerTriangular<T>, ServedRun)> {
-        let n = a.order();
-        let lookup = self.cholesky_plan(n, s, algorithm, pipeline, lookahead)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let id = machine.insert_symmetric(a.clone());
-        debug_assert_eq!(id, MatrixId::synthetic(0));
-        let outcome = replay_cached(&mut machine, &lookup.plan);
-        machine.set_phase("main");
-        outcome?;
-        let stats = machine.stats().clone();
-        let result = machine.take_symmetric(id)?;
-        let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-        Ok((
-            factor,
-            ServedRun {
-                stats,
-                source: lookup.source,
-                key_hash: lookup.key_hash,
-            },
-        ))
-    }
-
-    /// Serves an out-of-core GEMM (`C += alpha·A·B`). Bitwise-identical to
-    /// [`gemm_out_of_core_prefetched`](crate::api::gemm_out_of_core_prefetched).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm(
-        &self,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
-        c: &mut Matrix<T>,
-        alpha: T,
-        s: usize,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<ServedRun> {
-        let (n, m) = (a.rows(), a.cols());
-        let p = b.cols();
-        if b.rows() != m || c.rows() != n || c.cols() != p {
-            return Err(OocError::Invalid(format!(
-                "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-                b.rows(),
-                c.rows(),
-                c.cols()
-            )));
-        }
-        let lookup = self.gemm_plan(n, m, p, alpha, s, pipeline, lookahead)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        machine.insert_dense(a.clone());
-        machine.insert_dense(b.clone());
-        let c_id = machine.insert_dense(c.clone());
-        debug_assert_eq!(c_id, MatrixId::synthetic(2));
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_dense(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// Serves an autotuned out-of-core SYRK: the search runs at most once
-    /// per (shape, space, model) key — cache hits replay the tuned winner
-    /// with zero tuner work. Bitwise-identical to
-    /// [`syrk_out_of_core_autotuned`](crate::api::syrk_out_of_core_autotuned)
-    /// with the same arguments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_autotuned(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<ServedRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "SYRK operand mismatch: A is {}x{m} but C has order {n}",
-                a.rows()
-            )));
-        }
-        let lookup = self.syrk_autotuned_plan(n, m, alpha, s, algorithm, space, model)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let a_id = machine.insert_dense(a.clone());
-        let c_id = machine.insert_symmetric(c.clone());
-        debug_assert_eq!(
-            (a_id, c_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_symmetric(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// Serves an autotuned out-of-core Cholesky factorization (see
-    /// [`syrk_autotuned`](Self::syrk_autotuned)).
-    pub fn cholesky_autotuned(
-        &self,
-        a: &SymMatrix<T>,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<(LowerTriangular<T>, ServedRun)> {
-        let n = a.order();
-        let lookup = self.cholesky_autotuned_plan(n, s, algorithm, space, model)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let id = machine.insert_symmetric(a.clone());
-        debug_assert_eq!(id, MatrixId::synthetic(0));
-        let outcome = replay_cached(&mut machine, &lookup.plan);
-        machine.set_phase("main");
-        outcome?;
-        let stats = machine.stats().clone();
-        let result = machine.take_symmetric(id)?;
-        let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-        Ok((
-            factor,
-            ServedRun {
-                stats,
-                source: lookup.source,
-                key_hash: lookup.key_hash,
-            },
-        ))
-    }
-
-    /// Serves an autotuned out-of-core GEMM (see
-    /// [`syrk_autotuned`](Self::syrk_autotuned)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_autotuned(
-        &self,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
-        c: &mut Matrix<T>,
-        alpha: T,
-        s: usize,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<ServedRun> {
-        let (n, m) = (a.rows(), a.cols());
-        let p = b.cols();
-        if b.rows() != m || c.rows() != n || c.cols() != p {
-            return Err(OocError::Invalid(format!(
-                "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-                b.rows(),
-                c.rows(),
-                c.cols()
-            )));
-        }
-        let lookup = self.gemm_autotuned_plan(n, m, p, alpha, s, space, model)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        machine.insert_dense(a.clone());
-        machine.insert_dense(b.clone());
-        let c_id = machine.insert_dense(c.clone());
-        debug_assert_eq!(c_id, MatrixId::synthetic(2));
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_dense(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
+    ) -> Result<(LowerTriangular<T>, Run)> {
+        let options = RunOptions::new()
+            .pipeline(pipeline.clone())
+            .lookahead(lookahead)
+            .cached(self);
+        cholesky_out_of_core_with(a, s, algorithm, &options)
     }
 
     /// Serves a shared-slow-memory parallel SYRK: the cached partition
@@ -919,11 +377,15 @@ pub type SharedPlanService<T> = Arc<PlanService<T>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{
-        cholesky_out_of_core_prefetched, gemm_out_of_core_prefetched, syrk_out_of_core_prefetched,
-    };
+    use crate::api::{gemm_out_of_core_with, Served};
     use crate::parallel::parallel_syrk;
     use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded};
+    use symla_memory::MachineModel;
+    use symla_obs::TraceRecorder;
+
+    fn served(run: &Run) -> Served {
+        run.served.expect("a cached run reports its plan source")
+    }
 
     #[test]
     fn sharded_keys_split_from_the_unsharded_slot() {
@@ -939,6 +401,57 @@ mod tests {
         assert_eq!(one.content_hash(), base.content_hash());
         assert_ne!(two.content_hash(), base.content_hash());
         assert_ne!(two.content_hash(), three.content_hash());
+    }
+
+    /// Plan keys name disk-tier files, so a tier written by an earlier
+    /// version must still hit: the hashes are pinned.
+    #[test]
+    fn plan_key_hashes_are_pinned() {
+        let (standard, none) = (PassPipeline::standard(), PassPipeline::none());
+        let syrk = |alpha, algorithm| Job::Syrk {
+            algorithm,
+            n: 40,
+            m: 6,
+            alpha,
+            s: 60,
+        };
+        let options = RunOptions::new().pipeline(standard.clone()).lookahead(1);
+        let key = PlanService::key(&syrk(1.5, SyrkAlgorithm::TbsTiled), &options);
+        assert_eq!(key.content_hash(), 0x16871a1f0b1bfb43);
+
+        let cholesky = Job::Cholesky {
+            algorithm: CholeskyAlgorithm::Lbc,
+            n: 768,
+            s: 300,
+        };
+        let options = RunOptions::new().pipeline(none).lookahead(0);
+        assert_eq!(
+            PlanService::<f64>::key(&cholesky, &options).content_hash(),
+            0x13bea7792751d78a
+        );
+
+        let gemm = Job::Gemm {
+            n: 18,
+            m: 7,
+            p: 13,
+            alpha: 0.5,
+            s: 30,
+        };
+        let options = RunOptions::new().pipeline(standard).lookahead(1);
+        assert_eq!(
+            PlanService::key(&gemm, &options).content_hash(),
+            0xa8febda353117886
+        );
+
+        let space = crate::api::syrk_tuning_space(40, 60, SyrkAlgorithm::TbsTiled);
+        let model = MachineModel::nvme();
+        let options = RunOptions::new().tuned(&space, &model);
+        let key = PlanService::key(&syrk(1.0, SyrkAlgorithm::TbsTiled), &options);
+        assert_eq!(key.content_hash(), 0xdc49c7354afe6914);
+
+        let parallel =
+            PlanService::<f64>::syrk_parallel_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles);
+        assert_eq!(parallel.content_hash(), 0x5be6f49257584643);
     }
 
     #[test]
@@ -958,40 +471,40 @@ mod tests {
                 for lookahead in [0usize, 1] {
                     cases += 1;
                     let mut reference = c0.clone();
-                    let direct = syrk_out_of_core_prefetched(
-                        &a,
-                        &mut reference,
-                        1.5,
-                        s,
-                        algorithm,
-                        &pipeline,
-                        lookahead,
-                    )
-                    .unwrap();
+                    let options = RunOptions::new()
+                        .pipeline(pipeline.clone())
+                        .lookahead(lookahead);
+                    let direct =
+                        syrk_out_of_core_with(&a, &mut reference, 1.5, s, algorithm, &options)
+                            .unwrap();
 
                     // Cold serve compiles; the replay matches the direct
                     // run bitwise, I/O volume included.
-                    let mut served = c0.clone();
+                    let mut served_c = c0.clone();
                     let cold = service
-                        .syrk(&a, &mut served, 1.5, s, algorithm, &pipeline, lookahead)
+                        .syrk(&a, &mut served_c, 1.5, s, algorithm, &pipeline, lookahead)
                         .unwrap();
                     let ctx = format!("{} {pipeline:?} L={lookahead}", algorithm.name());
-                    assert_eq!(cold.source, PlanSource::Compiled, "{ctx}");
-                    assert!(served == reference, "{ctx}: cold bitwise");
-                    assert_eq!(cold.stats.volume, direct.report.stats.volume, "{ctx}");
-                    assert!(cold.stats.peak_resident <= s, "{ctx}");
+                    assert_eq!(served(&cold).source, PlanSource::Compiled, "{ctx}");
+                    assert!(served_c == reference, "{ctx}: cold bitwise");
+                    assert_eq!(
+                        cold.report.stats.volume, direct.report.stats.volume,
+                        "{ctx}"
+                    );
+                    assert!(cold.report.stats.peak_resident <= s, "{ctx}");
 
                     // Warm serve hits and is byte-for-byte the same again.
                     let mut warm_c = c0.clone();
                     let warm = service
                         .syrk(&a, &mut warm_c, 1.5, s, algorithm, &pipeline, lookahead)
                         .unwrap();
-                    assert_eq!(warm.source, PlanSource::Memory, "{ctx}");
-                    assert_eq!(warm.key_hash, cold.key_hash, "{ctx}");
+                    assert_eq!(served(&warm).source, PlanSource::Memory, "{ctx}");
+                    assert_eq!(served(&warm).key_hash, served(&cold).key_hash, "{ctx}");
                     assert!(warm_c == reference, "{ctx}: warm bitwise");
-                    assert_eq!(warm.stats.volume, cold.stats.volume, "{ctx}");
+                    assert_eq!(warm.report.stats.volume, cold.report.stats.volume, "{ctx}");
                     assert_eq!(
-                        warm.stats.prefetched_elements, cold.stats.prefetched_elements,
+                        warm.report.stats.prefetched_elements,
+                        cold.report.stats.prefetched_elements,
                         "{ctx}: cached prefetch plan replays identically"
                     );
                 }
@@ -1009,25 +522,21 @@ mod tests {
         let c0 = SymMatrix::<f64>::zeros(n);
         let service = PlanService::<f64>::in_memory();
         let model = MachineModel::default();
+        let traced = |recorder: &TraceRecorder, c: &mut SymMatrix<f64>| {
+            let options = RunOptions::new()
+                .pipeline(PassPipeline::standard())
+                .lookahead(2)
+                .traced(&model, recorder)
+                .cached(&service);
+            syrk_out_of_core_with(&a, c, 1.5, s, SyrkAlgorithm::TbsTiled, &options).unwrap()
+        };
 
         // Cold: the plan compiles, and the trace records a miss + compile.
         let recorder = TraceRecorder::new();
         let mut cold_c = c0.clone();
-        let cold = service
-            .syrk_traced(
-                &a,
-                &mut cold_c,
-                1.5,
-                s,
-                SyrkAlgorithm::TbsTiled,
-                &PassPipeline::standard(),
-                2,
-                &model,
-                &recorder,
-            )
-            .unwrap();
-        let cold_trace = recorder.finish();
-        assert_eq!(cold.source, PlanSource::Compiled);
+        let mut cold = traced(&recorder, &mut cold_c);
+        let cold_trace = cold.trace.take().unwrap();
+        assert_eq!(served(&cold).source, PlanSource::Compiled);
         assert_eq!(
             cold_trace.count(|k| matches!(k, EventKind::CacheLookup { hit: false })),
             1
@@ -1041,21 +550,9 @@ mod tests {
         // the recorder is bitwise-identical to the unobserved serve.
         let recorder = TraceRecorder::new();
         let mut warm_c = c0.clone();
-        let warm = service
-            .syrk_traced(
-                &a,
-                &mut warm_c,
-                1.5,
-                s,
-                SyrkAlgorithm::TbsTiled,
-                &PassPipeline::standard(),
-                2,
-                &model,
-                &recorder,
-            )
-            .unwrap();
-        let warm_trace = recorder.finish();
-        assert_eq!(warm.source, PlanSource::Memory);
+        let mut warm = traced(&recorder, &mut warm_c);
+        let warm_trace = warm.trace.take().unwrap();
+        assert_eq!(served(&warm).source, PlanSource::Memory);
         assert_eq!(
             warm_trace.count(|k| matches!(k, EventKind::CacheLookup { hit: true })),
             1
@@ -1083,15 +580,15 @@ mod tests {
             .unwrap();
         assert!(warm_c == plain_c, "traced serve bitwise == unobserved");
         assert!(cold_c == plain_c);
-        assert_eq!(warm.stats, plain.stats);
-        assert_eq!(cold.stats, plain.stats);
+        assert_eq!(warm.report.stats, plain.report.stats);
+        assert_eq!(cold.report.stats, plain.report.stats);
 
         // The per-run report mirrors the engine counters exactly, and the
         // service-level report mirrors the cache counters.
-        let report = warm.run_report("warm syrk");
+        let report = warm.metrics("warm syrk");
         assert_eq!(
             report.registry.counter("engine.loads.elements"),
-            u128::from(warm.stats.volume.loads)
+            u128::from(warm.report.stats.volume.loads)
         );
         assert_eq!(report.registry.counter("plan.source.memory"), 1);
         let service_report = service.metrics_report();
@@ -1114,14 +611,8 @@ mod tests {
 
         for algorithm in [CholeskyAlgorithm::Lbc, CholeskyAlgorithm::Bereux] {
             for lookahead in [0usize, 2] {
-                let (direct, _) = cholesky_out_of_core_prefetched(
-                    &a,
-                    s,
-                    algorithm,
-                    &PassPipeline::none(),
-                    lookahead,
-                )
-                .unwrap();
+                let options = RunOptions::new().lookahead(lookahead);
+                let (direct, _) = cholesky_out_of_core_with(&a, s, algorithm, &options).unwrap();
                 let (cold, run) = service
                     .cholesky(&a, s, algorithm, &PassPipeline::none(), lookahead)
                     .unwrap();
@@ -1131,8 +622,8 @@ mod tests {
                 let ctx = format!("{} L={lookahead}", algorithm.name());
                 assert!(cold == direct, "{ctx}: cold bitwise");
                 assert!(warm == direct, "{ctx}: warm bitwise");
-                assert_eq!(run.source, PlanSource::Compiled, "{ctx}");
-                assert_eq!(warm_run.source, PlanSource::Memory, "{ctx}");
+                assert_eq!(served(&run).source, PlanSource::Compiled, "{ctx}");
+                assert_eq!(served(&warm_run).source, PlanSource::Memory, "{ctx}");
             }
         }
     }
@@ -1144,23 +635,23 @@ mod tests {
         let b: Matrix<f64> = random_matrix_seeded(m, p, 54);
         let c0: Matrix<f64> = random_matrix_seeded(n, p, 55);
         let service = PlanService::<f64>::in_memory();
+        let direct = RunOptions::new()
+            .pipeline(PassPipeline::standard())
+            .lookahead(1);
+        let cached = direct.clone().cached(&service);
 
         let mut reference = c0.clone();
-        gemm_out_of_core_prefetched(&a, &b, &mut reference, 0.5, s, &PassPipeline::standard(), 1)
-            .unwrap();
+        gemm_out_of_core_with(&a, &b, &mut reference, 0.5, s, &direct).unwrap();
         for expect in [PlanSource::Compiled, PlanSource::Memory] {
             let mut c = c0.clone();
-            let run = service
-                .gemm(&a, &b, &mut c, 0.5, s, &PassPipeline::standard(), 1)
-                .unwrap();
-            assert_eq!(run.source, expect);
+            let run = gemm_out_of_core_with(&a, &b, &mut c, 0.5, s, &cached).unwrap();
+            assert_eq!(served(&run).source, expect);
             assert!(c == reference, "served GEMM bitwise ({expect:?})");
         }
         // Operand mismatch is caught before any machine work.
         let mut bad = Matrix::<f64>::zeros(n, p + 1);
-        assert!(service
-            .gemm(&a, &b, &mut bad, 0.5, s, &PassPipeline::none(), 0)
-            .is_err());
+        let plain_cached = RunOptions::new().cached(&service);
+        assert!(gemm_out_of_core_with(&a, &b, &mut bad, 0.5, s, &plain_cached).is_err());
     }
 
     #[test]
@@ -1202,10 +693,7 @@ mod tests {
 
     #[test]
     fn served_autotuned_matches_direct_and_tunes_once() {
-        use crate::api::{
-            cholesky_out_of_core_autotuned, cholesky_tuning_space, gemm_out_of_core_autotuned,
-            gemm_tuning_space, syrk_out_of_core_autotuned, syrk_tuning_space,
-        };
+        use crate::api::{cholesky_tuning_space, gemm_tuning_space, syrk_tuning_space};
         let model = MachineModel::nvme();
         let service = PlanService::<f64>::in_memory();
 
@@ -1214,59 +702,47 @@ mod tests {
         let a: Matrix<f64> = random_matrix_seeded(n, m, 71);
         let c0 = SymMatrix::<f64>::zeros(n);
         let space = syrk_tuning_space(n, s, SyrkAlgorithm::TbsTiled);
+        let tuned = RunOptions::new().tuned(&space, &model);
         let mut direct_c = c0.clone();
-        let direct = syrk_out_of_core_autotuned(
-            &a,
-            &mut direct_c,
-            1.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &space,
-            &model,
-        )
-        .unwrap();
+        let direct =
+            syrk_out_of_core_with(&a, &mut direct_c, 1.0, s, SyrkAlgorithm::TbsTiled, &tuned)
+                .unwrap();
         for expect in [PlanSource::Compiled, PlanSource::Memory] {
             let mut c = c0.clone();
-            let run = service
-                .syrk_autotuned(&a, &mut c, 1.0, s, SyrkAlgorithm::TbsTiled, &space, &model)
+            let options = tuned.clone().cached(&service);
+            let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, SyrkAlgorithm::TbsTiled, &options)
                 .unwrap();
-            assert_eq!(run.source, expect);
+            assert_eq!(served(&run).source, expect);
             assert!(c == direct_c, "served autotuned bitwise ({expect:?})");
-            assert_eq!(run.stats, direct.run.report.stats, "{expect:?}");
+            assert_eq!(run.report.stats, direct.report.stats, "{expect:?}");
+            // The cache keeps no winning tile: no prediction to report.
+            assert!(run.predicted().is_none() && run.tuning.is_none());
         }
         assert_eq!(service.stats().compiles, 1, "the search ran exactly once");
 
         // A different model fingerprint is a different plan.
-        let dram_key = PlanService::<f64>::syrk_autotuned_key(
+        let job = Job::Syrk {
+            algorithm: SyrkAlgorithm::TbsTiled,
             n,
             m,
-            1.0,
+            alpha: 1.0,
             s,
-            SyrkAlgorithm::TbsTiled,
-            &space,
-            &MachineModel::dram(),
-        );
-        let nvme_key = PlanService::<f64>::syrk_autotuned_key(
-            n,
-            m,
-            1.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &space,
-            &model,
-        );
+        };
+        let dram = MachineModel::dram();
+        let dram_key = PlanService::key(&job, &RunOptions::new().tuned(&space, &dram));
+        let nvme_key = PlanService::key(&job, &tuned);
         assert_ne!(dram_key.content_hash(), nvme_key.content_hash());
 
         // Cholesky and GEMM serve paths replay their direct twins bitwise.
         let (cn, cs) = (30usize, 28usize);
         let spd: SymMatrix<f64> = random_spd_seeded(cn, 72);
         let chol_space = cholesky_tuning_space(cn, cs, CholeskyAlgorithm::Lbc);
+        let tuned = RunOptions::new().tuned(&chol_space, &model);
         let (direct_factor, _) =
-            cholesky_out_of_core_autotuned(&spd, cs, CholeskyAlgorithm::Lbc, &chol_space, &model)
-                .unwrap();
-        let (served_factor, _) = service
-            .cholesky_autotuned(&spd, cs, CholeskyAlgorithm::Lbc, &chol_space, &model)
-            .unwrap();
+            cholesky_out_of_core_with(&spd, cs, CholeskyAlgorithm::Lbc, &tuned).unwrap();
+        let options = tuned.clone().cached(&service);
+        let (served_factor, _) =
+            cholesky_out_of_core_with(&spd, cs, CholeskyAlgorithm::Lbc, &options).unwrap();
         assert!(served_factor == direct_factor);
 
         let (gn, gm, gp, gs) = (18usize, 7usize, 13usize, 30usize);
@@ -1274,21 +750,26 @@ mod tests {
         let gb: Matrix<f64> = random_matrix_seeded(gm, gp, 74);
         let gc0: Matrix<f64> = random_matrix_seeded(gn, gp, 75);
         let gemm_space = gemm_tuning_space(gs);
+        let tuned = RunOptions::new().tuned(&gemm_space, &model);
         let mut direct_gc = gc0.clone();
-        gemm_out_of_core_autotuned(&ga, &gb, &mut direct_gc, 0.5, gs, &gemm_space, &model).unwrap();
+        gemm_out_of_core_with(&ga, &gb, &mut direct_gc, 0.5, gs, &tuned).unwrap();
         let mut served_gc = gc0.clone();
-        service
-            .gemm_autotuned(&ga, &gb, &mut served_gc, 0.5, gs, &gemm_space, &model)
-            .unwrap();
+        let options = tuned.clone().cached(&service);
+        gemm_out_of_core_with(&ga, &gb, &mut served_gc, 0.5, gs, &options).unwrap();
         assert!(served_gc == direct_gc);
     }
 
     #[test]
     fn plan_methods_expose_replayable_plans() {
         let service = PlanService::<f64>::in_memory();
-        let lookup = service
-            .syrk_plan(24, 6, 1.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 2)
-            .unwrap();
+        let job = Job::Syrk {
+            algorithm: SyrkAlgorithm::Tbs,
+            n: 24,
+            m: 6,
+            alpha: 1.0,
+            s: 40,
+        };
+        let lookup = service.plan(&job, &RunOptions::new().lookahead(2)).unwrap();
         // The cached plan carries the compiled prefetch plan and its binary
         // form; a caller can dry-run it without touching real data.
         assert!(lookup.plan.prefetch().is_some());

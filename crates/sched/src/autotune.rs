@@ -506,8 +506,9 @@ impl<'a> Tuner<'a> {
         self.prune(&mut seeds, |(_, s)| self.proxy_score(s, space));
 
         // Stage 2: pipelines per surviving seed. The budget clamp mirrors
-        // the high-level API's `optimize_schedule`, so the schedule scored
-        // here is identical to the one a run with this config executes.
+        // the pass step of symla-core's `api::compile`, so the schedule
+        // scored here is identical to the one a run with this config
+        // executes.
         let mut optimized: Vec<(TunedConfig, Schedule<T>, Vec<StageOutcome>)> = Vec::new();
         for (tile, seed) in &seeds {
             for pipeline in &space.pipelines {

@@ -9,14 +9,13 @@
 //! Dry runs give exact [`IoStats`] and the timing model prices them in
 //! deterministic nanoseconds, so the [`Tuner`] can afford an exhaustive
 //! sweep: each candidate is built, optimized, prefetch-planned and priced —
-//! but never run. The `*_out_of_core_autotuned` twins then execute the
+//! but never run. A tuned run (`RunOptions::tuned`) then executes the
 //! winner exactly as scored; the measured stats must equal the dry-run
 //! stats field for field, and the result is bit-identical to the plain
 //! API's (the default spaces only sweep tile overrides that re-chunk, never
 //! reorder, accumulation chains).
 
 use symla::prelude::*;
-use symla_core::api::{cholesky_out_of_core_autotuned, syrk_out_of_core_autotuned};
 
 fn main() {
     let model = MachineModel::nvme();
@@ -40,17 +39,18 @@ fn main() {
     ] {
         let space = syrk_tuning_space(n, s, algorithm);
         let mut c = SymMatrix::<f64>::zeros(n);
-        let run = syrk_out_of_core_autotuned(&a, &mut c, 1.0, s, algorithm, &space, &model)
-            .expect("autotune");
-        let winner = run.tuning.winner();
+        let options = RunOptions::new().tuned(&space, &model);
+        let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options).expect("autotune");
+        let tuning = run.tuning.as_ref().expect("a tuned run reports its search");
+        let winner = tuning.winner();
 
         // The replay measured exactly what the tuner scored by dry run.
-        assert_eq!(run.run.report.stats, winner.stats);
+        assert_eq!(run.report.stats, winner.stats);
 
         println!(
             "{:<14} {:>9} {:>6} {:<18} {:>2} {:>13.1} {:>7.3}x",
             format!("{algorithm:?}"),
-            format!("{}+{}", run.tuning.evaluated(), run.tuning.skipped),
+            format!("{}+{}", tuning.evaluated(), tuning.skipped),
             match winner.config.tile {
                 Some(t) => t.to_string(),
                 None => "auto".to_string(),
@@ -67,14 +67,16 @@ fn main() {
     let spd = generate::random_spd_seeded::<f64>(cn, 22);
     let (l_plain, _) = cholesky_out_of_core(&spd, cs, CholeskyAlgorithm::Lbc).unwrap();
     let space = cholesky_tuning_space(cn, cs, CholeskyAlgorithm::Lbc);
+    let options = RunOptions::new().tuned(&space, &model);
     let (l_tuned, run) =
-        cholesky_out_of_core_autotuned(&spd, cs, CholeskyAlgorithm::Lbc, &space, &model).unwrap();
+        cholesky_out_of_core_with(&spd, cs, CholeskyAlgorithm::Lbc, &options).unwrap();
     assert!(l_tuned == l_plain, "tuned factor must be bit-identical");
-    let winner = run.tuning.winner();
+    let tuning = run.tuning.expect("a tuned run reports its search");
+    let winner = tuning.winner();
     println!();
     println!(
         "LBC Cholesky N = {cn}, S = {cs}: {} candidates scored without executing,",
-        run.tuning.evaluated()
+        tuning.evaluated()
     );
     println!(
         "winner {} at L = {} — {:.1} ns modelled, {:.3}x the paper's I/O bound,",

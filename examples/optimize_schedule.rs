@@ -8,8 +8,6 @@
 //! ```
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_optimized;
-use symla_core::passes::PassPipeline;
 
 fn main() {
     // --- 1. A seed schedule: tiled TBS on a mid-size SYRK instance. ---
@@ -56,15 +54,9 @@ fn main() {
     let report = syrk_out_of_core(&a, &mut c_plain, 1.0, s, SyrkAlgorithm::TbsTiled).unwrap();
 
     let mut c_opt = SymMatrix::<f64>::zeros(n);
-    let run = syrk_out_of_core_optimized(
-        &a,
-        &mut c_opt,
-        1.0,
-        s,
-        SyrkAlgorithm::TbsTiled,
-        &PassPipeline::standard(),
-    )
-    .unwrap();
+    let options = RunOptions::new().pipeline(PassPipeline::standard());
+    let run =
+        syrk_out_of_core_with(&a, &mut c_opt, 1.0, s, SyrkAlgorithm::TbsTiled, &options).unwrap();
 
     assert!(
         c_opt.approx_eq(&c_plain, 0.0),
@@ -75,7 +67,7 @@ fn main() {
         "\napi: seed {} loads predicted = measured {}, optimized run measured {} loads / {} \
          events ({} events saved), result bitwise equal: true",
         report.predicted.loads,
-        run.seed_stats.volume.loads,
+        run.seed_stats().expect("the pipeline ran").volume.loads,
         run.report.stats.volume.loads,
         run.report.stats.load_events + run.report.stats.store_events,
         run.events_saved(),

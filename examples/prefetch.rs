@@ -15,7 +15,6 @@
 //! peak residency never exceeds `S` — the planner only spends slack.
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_prefetched;
 
 fn main() {
     let n = 96;
@@ -38,16 +37,9 @@ fn main() {
         let mut baseline = None;
         for lookahead in [0usize, 1, 2] {
             let mut c = SymMatrix::<f64>::zeros(n);
-            let run = syrk_out_of_core_prefetched(
-                &a,
-                &mut c,
-                1.0,
-                s,
-                algorithm,
-                &PassPipeline::none(),
-                lookahead,
-            )
-            .expect("schedule must run");
+            let options = RunOptions::new().lookahead(lookahead);
+            let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options)
+                .expect("schedule must run");
             let stats = &run.report.stats;
             assert!(stats.peak_resident <= s, "prefetch must respect S");
             match &baseline {

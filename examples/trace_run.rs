@@ -9,60 +9,59 @@
 //! Writes `trace_serial.json` (serial prefetched run, measured + modelled
 //! process tracks) and `trace_parallel.json` (P = 4 workers, one thread
 //! track each, with flow arrows from every prefetch issue to the load that
-//! consumes it) into the working directory. Open either file at
-//! <https://ui.perfetto.dev> — no conversion needed.
+//! consumes it) into the system temporary directory and prints both paths.
+//! Open either file at <https://ui.perfetto.dev> — no conversion needed.
 //!
-//! Observation changes nothing: the traced twins return bitwise the same
-//! results and `IoStats` as the unobserved entry points, and the modelled
+//! Observation changes nothing: a traced run returns bitwise the same
+//! results and `IoStats` as an unobserved one, and the modelled
 //! timestamps on every event are the wall-clock model of section 7 of
 //! `docs/ARCHITECTURE.md`, bit for bit (both facts CI-gated by
 //! `ab_obs --smoke`).
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_traced;
 use symla_core::parallel::{parallel_syrk_traced, BlockStrategy};
 
 fn main() {
     let model = MachineModel::nvme();
+
+    let out_dir = std::env::temp_dir();
 
     // --- Serial: traced prefetched SYRK through the high-level API. ------
     let (n, m, s) = (96, 16, 160);
     let a = generate::random_matrix_seeded::<f64>(n, m, 11);
     let mut c = SymMatrix::<f64>::zeros(n);
     let recorder = TraceRecorder::new();
-    let (run, traced) = syrk_out_of_core_traced(
-        &a,
-        &mut c,
-        1.0,
-        s,
-        SyrkAlgorithm::TbsTiled,
-        &PassPipeline::standard(),
-        2,
-        &model,
-        &recorder,
-    )
-    .unwrap();
+    let options = RunOptions::new()
+        .pipeline(PassPipeline::standard())
+        .lookahead(2)
+        .traced(&model, &recorder);
+    let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, SyrkAlgorithm::TbsTiled, &options).unwrap();
 
     // Two clocks per event; the modelled one is the static price, bitwise.
-    assert!(traced.clock.consistent());
-    let export = traced
-        .trace
-        .to_chrome_trace(&[TimeBase::Measured, TimeBase::Modelled]);
-    std::fs::write("trace_serial.json", &export).unwrap();
+    assert!(run.clock.expect("a traced run is priced").consistent());
+    let trace = run.trace.as_ref().expect("a traced run keeps its trace");
+    let export = trace.to_chrome_trace(&[TimeBase::Measured, TimeBase::Modelled]);
+    let serial_path = out_dir.join("trace_serial.json");
+    std::fs::write(&serial_path, &export).unwrap();
     println!(
         "serial  TbsTiled N={n} M={m} S={s} L=2: {} events, {} loads hidden behind compute",
-        traced.trace.len(),
+        trace.len(),
         run.report.stats.prefetched_elements,
     );
-    println!("        wrote trace_serial.json ({} bytes)", export.len());
+    println!(
+        "        wrote {} ({} bytes)",
+        serial_path.display(),
+        export.len()
+    );
 
-    // The report mirrors the engine's accounting exactly.
+    // The metrics mirror the engine's accounting exactly.
+    let metrics = run.metrics(format!("TBS(tiled) n={n} m={m} S={s} L=2"));
     assert_eq!(
-        traced.report.registry.counter("engine.loads.elements"),
+        metrics.registry.counter("engine.loads.elements"),
         run.report.stats.volume.loads as u128,
     );
     println!();
-    println!("{}", traced.report.to_json());
+    println!("{}", metrics.to_json());
     println!();
 
     // --- Parallel: P = 4 workers, one timeline track each. ---------------
@@ -84,7 +83,8 @@ fn main() {
     .unwrap();
     let ptrace = precorder.finish();
     let pexport = ptrace.to_chrome_trace(&[TimeBase::Measured]);
-    std::fs::write("trace_parallel.json", &pexport).unwrap();
+    let parallel_path = out_dir.join("trace_parallel.json");
+    std::fs::write(&parallel_path, &pexport).unwrap();
 
     let issues = ptrace.count(|k| matches!(k, EventKind::PrefetchIssue { .. }));
     let steals = ptrace.count(|k| matches!(k, EventKind::Claim { stolen: true, .. }));
@@ -101,7 +101,8 @@ fn main() {
         );
     }
     println!(
-        "        wrote trace_parallel.json ({} bytes)",
+        "        wrote {} ({} bytes)",
+        parallel_path.display(),
         pexport.len()
     );
     println!();

@@ -17,7 +17,6 @@
 //! lookahead's speedup comes from.
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_timed;
 
 fn main() {
     let n = 96;
@@ -40,17 +39,9 @@ fn main() {
         let mut serial_ns = 0.0;
         for lookahead in [0usize, 1, 2] {
             let mut c = SymMatrix::<f64>::zeros(n);
-            let (_, wall) = syrk_out_of_core_timed(
-                &a,
-                &mut c,
-                1.0,
-                s,
-                algorithm,
-                &PassPipeline::default(),
-                lookahead,
-                &model,
-            )
-            .unwrap();
+            let options = RunOptions::new().lookahead(lookahead).priced(&model);
+            let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options).unwrap();
+            let wall = run.clock.expect("a priced run reports its clock");
 
             // The static price and the measured model time agree bitwise.
             assert!(wall.consistent());

@@ -42,6 +42,11 @@
 
 #![warn(missing_docs)]
 
+// The README's Rust blocks, compiled and run as doctests of the facade.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+mod readme {}
+
 pub use symla_baselines as baselines;
 pub use symla_core as core;
 pub use symla_matrix as matrix;
@@ -59,21 +64,16 @@ pub mod prelude {
     };
     pub use symla_core::{
         api::{
-            cholesky_out_of_core, cholesky_out_of_core_autotuned, cholesky_out_of_core_cached,
-            cholesky_out_of_core_optimized, cholesky_out_of_core_prefetched,
-            cholesky_out_of_core_timed, cholesky_out_of_core_traced, cholesky_tuning_space,
-            gemm_out_of_core, gemm_out_of_core_autotuned, gemm_out_of_core_cached,
-            gemm_out_of_core_optimized, gemm_out_of_core_prefetched, gemm_out_of_core_timed,
-            gemm_out_of_core_traced, gemm_tuning_space, syrk_out_of_core,
-            syrk_out_of_core_autotuned, syrk_out_of_core_cached, syrk_out_of_core_optimized,
-            syrk_out_of_core_prefetched, syrk_out_of_core_timed, syrk_out_of_core_traced,
-            syrk_tuning_space, AutotunedRun, CholeskyAlgorithm, OptimizedRun, RunReport,
-            SyrkAlgorithm, TracedRun, WallClock,
+            cholesky_out_of_core, cholesky_out_of_core_traced, cholesky_out_of_core_with,
+            cholesky_tuning_space, gemm_out_of_core, gemm_out_of_core_with, gemm_tuning_space,
+            syrk_out_of_core, syrk_out_of_core_traced, syrk_out_of_core_with, syrk_tuning_space,
+            CholeskyAlgorithm, Job, Run, RunOptions, RunReport, Served, SyrkAlgorithm, TracedRun,
+            WallClock,
         },
         bounds, lbc_cost, lbc_cost_breakdown, lbc_execute, lbc_schedule, oi, tbs_cost, tbs_execute,
         tbs_schedule, tbs_tiled_cost, tbs_tiled_execute, tbs_tiled_schedule, Engine, EngineConfig,
-        LbcPlan, PassManager, PassPipeline, PlanService, Schedule, ScheduleBuilder, ServedRun,
-        TbsPlan, TbsTiledPlan, TrailingUpdate,
+        LbcPlan, PassManager, PassPipeline, PlanService, Schedule, ScheduleBuilder, TbsPlan,
+        TbsTiledPlan, TrailingUpdate,
     };
     pub use symla_matrix::{
         generate, kernels, LowerTriangular, Matrix, MatrixError, Scalar, SymMatrix,

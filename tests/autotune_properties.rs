@@ -69,7 +69,7 @@ fn tuning_is_deterministic() {
     assert_eq!(b1, b2, "beam search must be deterministic too");
 }
 
-/// Same inputs, same report — through the high-level autotuned twin.
+/// Same inputs, same report — through a tuned high-level run.
 #[test]
 fn high_level_autotuning_is_deterministic() {
     let (n, m, s) = (30usize, 6usize, 60usize);
@@ -79,16 +79,15 @@ fn high_level_autotuning_is_deterministic() {
     let space = syrk_tuning_space(n, s, SyrkAlgorithm::Tbs);
     let model = MachineModel::nvme();
 
+    let options = RunOptions::new().tuned(&space, &model);
     let mut c1 = c0.clone();
-    let run1 = syrk_out_of_core_autotuned(&a, &mut c1, 1.0, s, SyrkAlgorithm::Tbs, &space, &model)
-        .unwrap();
+    let run1 = syrk_out_of_core_with(&a, &mut c1, 1.0, s, SyrkAlgorithm::Tbs, &options).unwrap();
     let mut c2 = c0.clone();
-    let run2 = syrk_out_of_core_autotuned(&a, &mut c2, 1.0, s, SyrkAlgorithm::Tbs, &space, &model)
-        .unwrap();
+    let run2 = syrk_out_of_core_with(&a, &mut c2, 1.0, s, SyrkAlgorithm::Tbs, &options).unwrap();
     assert_eq!(run1.tuning, run2.tuning, "report reproduces");
     assert_eq!(c1, c2, "result reproduces bitwise");
     assert_eq!(
-        run1.run.report.stats, run2.run.report.stats,
+        run1.report.stats, run2.report.stats,
         "measured stats reproduce"
     );
 }

@@ -298,13 +298,9 @@ fn api_clamps_pipeline_budget_to_machine_capacity() {
     let (n, s) = (40, 60);
     let spd = random_spd_seeded::<f64>(n, 10);
     let (l_plain, _) = cholesky_out_of_core(&spd, s, CholeskyAlgorithm::Lbc).unwrap();
-    let (l_opt, run) = cholesky_out_of_core_optimized(
-        &spd,
-        s,
-        CholeskyAlgorithm::Lbc,
-        &PassPipeline::locality(Some(100 * s)),
-    )
-    .unwrap();
+    let options = RunOptions::new().pipeline(PassPipeline::locality(Some(100 * s)));
+    let (l_opt, run) =
+        cholesky_out_of_core_with(&spd, s, CholeskyAlgorithm::Lbc, &options).unwrap();
     assert!(
         l_opt.approx_eq(&l_plain, 0.0),
         "results must stay bitwise equal"

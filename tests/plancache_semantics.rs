@@ -22,17 +22,13 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
     let tmp = tempdir("bitwise");
     let service = PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
 
+    let options = RunOptions::new()
+        .pipeline(PassPipeline::standard())
+        .lookahead(1);
     let mut direct = SymMatrix::zeros(n);
-    let run = syrk_out_of_core_prefetched(
-        &a,
-        &mut direct,
-        2.0,
-        s,
-        SyrkAlgorithm::TbsTiled,
-        &PassPipeline::standard(),
-        1,
-    )
-    .unwrap();
+    let run =
+        syrk_out_of_core_with(&a, &mut direct, 2.0, s, SyrkAlgorithm::TbsTiled, &options).unwrap();
+    let cached = options.clone().cached(&service);
 
     for (round, want) in [
         (0, PlanSource::Compiled),
@@ -40,22 +36,17 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
         (2, PlanSource::Memory),
     ] {
         let mut served = SymMatrix::zeros(n);
-        let serve = syrk_out_of_core_cached(
-            &service,
-            &a,
-            &mut served,
-            2.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &PassPipeline::standard(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(serve.source, want, "round {round}");
+        let serve =
+            syrk_out_of_core_with(&a, &mut served, 2.0, s, SyrkAlgorithm::TbsTiled, &cached)
+                .unwrap();
+        assert_eq!(source(&serve), want, "round {round}");
         assert!(served == direct, "round {round}: bitwise identity");
-        assert_eq!(serve.stats.volume, run.report.stats.volume, "round {round}");
         assert_eq!(
-            serve.stats.prefetched_elements, run.report.stats.prefetched_elements,
+            serve.report.stats.volume, run.report.stats.volume,
+            "round {round}"
+        );
+        assert_eq!(
+            serve.report.stats.prefetched_elements, run.report.stats.prefetched_elements,
             "round {round}: the cached prefetch plan replays identically"
         );
     }
@@ -79,7 +70,7 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
             1,
         )
         .unwrap();
-    assert_eq!(serve.source, PlanSource::Disk);
+    assert_eq!(source(&serve), PlanSource::Disk);
     assert!(served == direct, "disk-revived plan: bitwise identity");
     assert_eq!(revived.stats().compiles, 0, "disk hit must not compile");
 
@@ -112,7 +103,7 @@ fn single_flight_compiles_once_under_concurrent_misses() {
                     .cholesky(a, s, CholeskyAlgorithm::Lbc, &PassPipeline::standard(), 1)
                     .unwrap();
                 assert!(&factor == reference, "served factor diverged");
-                if run.source == PlanSource::Compiled {
+                if source(&run) == PlanSource::Compiled {
                     compiled_seen.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -134,11 +125,17 @@ fn single_flight_compiles_once_under_concurrent_misses() {
 /// byte budget; evicted keys recompile, resident keys still hit.
 #[test]
 fn lru_respects_byte_budget_end_to_end() {
+    let job = |alpha| Job::Syrk {
+        algorithm: SyrkAlgorithm::Tbs,
+        n: 30,
+        m: 5,
+        alpha,
+        s: 40,
+    };
+    let plain = RunOptions::new();
     let plan_size = {
         let probe = PlanService::<f64>::in_memory();
-        let lookup = probe
-            .syrk_plan(30, 5, 1.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 0)
-            .unwrap();
+        let lookup = probe.plan(&job(1.0), &plain).unwrap();
         lookup.plan.byte_len()
     };
 
@@ -154,17 +151,7 @@ fn lru_respects_byte_budget_end_to_end() {
     // Three distinct keys (alpha varies) of similar size: the first must be
     // evicted by the third.
     for alpha in [1.0f64, 2.0, 3.0] {
-        service
-            .syrk_plan(
-                30,
-                5,
-                alpha,
-                40,
-                SyrkAlgorithm::Tbs,
-                &PassPipeline::none(),
-                0,
-            )
-            .unwrap();
+        service.plan(&job(alpha), &plain).unwrap();
     }
     let stats = service.stats();
     assert!(stats.evictions >= 1, "no eviction under pressure: {stats}");
@@ -174,13 +161,9 @@ fn lru_respects_byte_budget_end_to_end() {
     );
 
     // The newest key is still a hit; the oldest recompiles.
-    let newest = service
-        .syrk_plan(30, 5, 3.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 0)
-        .unwrap();
+    let newest = service.plan(&job(3.0), &plain).unwrap();
     assert_eq!(newest.source, PlanSource::Memory);
-    let oldest = service
-        .syrk_plan(30, 5, 1.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 0)
-        .unwrap();
+    let oldest = service.plan(&job(1.0), &plain).unwrap();
     assert_eq!(oldest.source, PlanSource::Compiled);
 }
 
@@ -195,58 +178,32 @@ fn disk_tier_survives_cache_drop_across_kernels() {
     let c0 = symla::matrix::generate::random_matrix_seeded::<f64>(n, p, 75);
     let tmp = tempdir("disk-tier");
 
+    let options = RunOptions::new()
+        .pipeline(PassPipeline::standard())
+        .lookahead(2);
     let mut reference = c0.clone();
-    gemm_out_of_core_prefetched(&a, &b, &mut reference, 1.0, s, &PassPipeline::standard(), 2)
-        .unwrap();
+    gemm_out_of_core_with(&a, &b, &mut reference, 1.0, s, &options).unwrap();
 
     {
         let service =
             PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
         let mut c = c0.clone();
-        let run = gemm_out_of_core_cached(
-            &service,
-            &a,
-            &b,
-            &mut c,
-            1.0,
-            s,
-            &PassPipeline::standard(),
-            2,
-        )
-        .unwrap();
-        assert_eq!(run.source, PlanSource::Compiled);
+        let cached = options.clone().cached(&service);
+        let run = gemm_out_of_core_with(&a, &b, &mut c, 1.0, s, &cached).unwrap();
+        assert_eq!(source(&run), PlanSource::Compiled);
         assert_eq!(service.stats().disk_writes, 1, "{}", service.stats());
     } // service (and its memory tier) dropped here
 
     let revived = PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
+    let cached = options.clone().cached(&revived);
     let mut c = c0.clone();
-    let run = gemm_out_of_core_cached(
-        &revived,
-        &a,
-        &b,
-        &mut c,
-        1.0,
-        s,
-        &PassPipeline::standard(),
-        2,
-    )
-    .unwrap();
-    assert_eq!(run.source, PlanSource::Disk);
+    let run = gemm_out_of_core_with(&a, &b, &mut c, 1.0, s, &cached).unwrap();
+    assert_eq!(source(&run), PlanSource::Disk);
     assert!(c == reference, "disk-revived GEMM plan: bitwise identity");
     // Once promoted, the next lookup is a memory hit.
     let mut c = c0.clone();
-    let run = gemm_out_of_core_cached(
-        &revived,
-        &a,
-        &b,
-        &mut c,
-        1.0,
-        s,
-        &PassPipeline::standard(),
-        2,
-    )
-    .unwrap();
-    assert_eq!(run.source, PlanSource::Memory);
+    let run = gemm_out_of_core_with(&a, &b, &mut c, 1.0, s, &cached).unwrap();
+    assert_eq!(source(&run), PlanSource::Memory);
     assert_eq!(revived.stats().compiles, 0);
 
     std::fs::remove_dir_all(&tmp).ok();
@@ -274,6 +231,13 @@ fn cached_parallel_partition_replays_across_worker_counts() {
         assert_eq!(run.report.workers, workers);
     }
     assert_eq!(service.stats().compiles, 1);
+}
+
+/// Where a cached run's plan came from.
+fn source(run: &Run) -> PlanSource {
+    run.served
+        .expect("a cached run reports its plan source")
+        .source
 }
 
 /// A unique scratch directory under the target-adjacent temp dir.

@@ -16,8 +16,8 @@
 //! 4. **positive speedup** — tiled TBS and OOC-GEMM (the update-style
 //!    kernels, whose groups leave slack) hide strictly positive time
 //!    already at `lookahead = 1`;
-//! 5. **timed API** — the one-call `*_out_of_core_timed` entry points
-//!    report `WallClock::consistent()` and reproduce the untimed results.
+//! 5. **timed API** — priced runs (`RunOptions::priced`) report
+//!    `WallClock::consistent()` and reproduce the untimed results.
 
 use symla::matrix::generate;
 use symla::prelude::*;
@@ -259,38 +259,33 @@ fn timed_api_is_consistent_and_reproduces_untimed_results() {
     let a = generate::random_matrix_seeded::<f64>(32, 6, 910);
     let c0 = generate::random_symmetric::<f64>(32, &mut generate::seeded_rng(911));
 
+    let untimed = RunOptions::new().pipeline(pipeline).lookahead(1);
+    let timed = untimed.clone().priced(&model);
+    let clock = |run: Run| run.clock.expect("a priced run reports its clock");
     let mut c_untimed = c0.clone();
-    syrk_out_of_core_prefetched(
+    syrk_out_of_core_with(
         &a,
         &mut c_untimed,
         1.0,
         60,
         SyrkAlgorithm::TbsTiled,
-        &pipeline,
-        1,
+        &untimed,
     )
     .unwrap();
     let mut c_timed = c0;
-    let (_, wall) = syrk_out_of_core_timed(
-        &a,
-        &mut c_timed,
-        1.0,
-        60,
-        SyrkAlgorithm::TbsTiled,
-        &pipeline,
-        1,
-        &model,
-    )
-    .unwrap();
+    let wall = clock(
+        syrk_out_of_core_with(&a, &mut c_timed, 1.0, 60, SyrkAlgorithm::TbsTiled, &timed).unwrap(),
+    );
     assert!(wall.consistent(), "SYRK: measured != modelled");
     assert!(wall.measured.hidden_ns > 0.0, "SYRK: no overlap at L=1");
     assert_eq!(c_timed, c_untimed, "SYRK: timed result drifted");
 
     let spd = generate::random_spd_seeded::<f64>(28, 912);
     let (l_untimed, _) =
-        cholesky_out_of_core_prefetched(&spd, 40, CholeskyAlgorithm::Lbc, &pipeline, 1).unwrap();
-    let (l_timed, _, wall) =
-        cholesky_out_of_core_timed(&spd, 40, CholeskyAlgorithm::Lbc, &pipeline, 1, &model).unwrap();
+        cholesky_out_of_core_with(&spd, 40, CholeskyAlgorithm::Lbc, &untimed).unwrap();
+    let (l_timed, run) =
+        cholesky_out_of_core_with(&spd, 40, CholeskyAlgorithm::Lbc, &timed).unwrap();
+    let wall = clock(run);
     assert!(wall.consistent(), "Cholesky: measured != modelled");
     assert_eq!(l_timed, l_untimed, "Cholesky: timed factor drifted");
 
@@ -298,18 +293,17 @@ fn timed_api_is_consistent_and_reproduces_untimed_results() {
     let gb = generate::random_matrix_seeded::<f64>(8, 12, 914);
     let gc0 = generate::random_matrix_seeded::<f64>(14, 12, 915);
     let mut gc_untimed = gc0.clone();
-    gemm_out_of_core_prefetched(&ga, &gb, &mut gc_untimed, 1.0, 40, &pipeline, 1).unwrap();
+    gemm_out_of_core_with(&ga, &gb, &mut gc_untimed, 1.0, 40, &untimed).unwrap();
     let mut gc_timed = gc0.clone();
-    let (_, wall) =
-        gemm_out_of_core_timed(&ga, &gb, &mut gc_timed, 1.0, 40, &pipeline, 1, &model).unwrap();
+    let wall = clock(gemm_out_of_core_with(&ga, &gb, &mut gc_timed, 1.0, 40, &timed).unwrap());
     assert!(wall.consistent(), "GEMM: measured != modelled");
     assert!(wall.measured.hidden_ns > 0.0, "GEMM: no overlap at L=1");
     assert_eq!(gc_timed, gc_untimed, "GEMM: timed result drifted");
 
     // Lookahead 0 through the timed API: still consistent, nothing hidden.
     let mut gc_plain = gc0;
-    let (_, wall) =
-        gemm_out_of_core_timed(&ga, &gb, &mut gc_plain, 1.0, 40, &pipeline, 0, &model).unwrap();
+    let timed_l0 = RunOptions::new().priced(&model);
+    let wall = clock(gemm_out_of_core_with(&ga, &gb, &mut gc_plain, 1.0, 40, &timed_l0).unwrap());
     assert!(wall.consistent(), "GEMM L=0: measured != modelled");
     assert_eq!(wall.measured.hidden_ns, 0.0, "GEMM L=0: cannot overlap");
 }
