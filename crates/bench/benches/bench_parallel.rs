@@ -1,9 +1,10 @@
 //! Wall-clock scaling of the parallel SYRK extension (experiment E12).
 //!
-//! Since the multi-worker engine landed, each iteration really executes the
-//! partitioned schedule: the workers move every region through the shared
-//! slow memory and run the block kernels on their private fast memories, so
-//! these timings measure the execution engine, not just the planner.
+//! Each iteration really executes the SYRK schedule on `P` workers
+//! ([`RunOptions::workers`]; `P = 1` is the serial replay): the workers move
+//! every region through the shared slow memory and run the block kernels on
+//! their private fast memories, so these timings measure the execution
+//! engine, not just the planner.
 //!
 //! Note on scaling: the simulated slow memory is a single lock — the
 //! model's one channel to slow memory — so gather/scatter serializes and
@@ -13,11 +14,11 @@
 
 use symla_bench::harness::{BenchmarkId, Criterion};
 use symla_bench::{criterion_group, criterion_main};
-use symla_core::parallel::{parallel_syrk, BlockStrategy};
+use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
 use symla_matrix::generate;
 use symla_matrix::{Matrix, SymMatrix};
 
-fn bench_parallel_syrk(c: &mut Criterion) {
+fn bench_workers(c: &mut Criterion) {
     let n = 192;
     let m = 48;
     let s = 15;
@@ -26,14 +27,15 @@ fn bench_parallel_syrk(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel syrk (N=192, M=48, S/worker=15)");
     group.sample_size(10);
     for &workers in &[1_usize, 2, 4, 8] {
-        for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+        for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
+            let options = RunOptions::new().workers(workers);
             group.bench_with_input(
-                BenchmarkId::new(strategy.name(), workers),
+                BenchmarkId::new(algorithm.name(), workers),
                 &workers,
-                |b, &workers| {
+                |b, _| {
                     b.iter(|| {
                         let mut c = SymMatrix::<f64>::zeros(n);
-                        parallel_syrk(&a, &mut c, 1.0, workers, s, strategy).unwrap()
+                        syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options).unwrap()
                     })
                 },
             );
@@ -42,5 +44,5 @@ fn bench_parallel_syrk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_syrk);
+criterion_group!(benches, bench_workers);
 criterion_main!(benches);

@@ -19,10 +19,10 @@
 //!
 //! On top of the per-builder gates, a sharded parallel SYRK
 //! ([`parallel_syrk_sharded`]: `C` on shard 0 = every node's home, `A` on
-//! shard 1) must reproduce the reference result for both partitioning
-//! strategies, and the triangle-block partition's cross-shard volume must
-//! land in the finite-size band around the paper's `1/sqrt(2)` claim
-//! (`t/(k-1) = 2/3` at the gate's shape) of the square tiling's.
+//! shard 1) must reproduce the reference result for both the square-block
+//! and the TBS schedule, and the TBS cross-shard volume must land in the
+//! finite-size band around the paper's `1/sqrt(2)` claim (`t/(k-1) = 2/3`
+//! at the gate's shape) of the square tiling's.
 //!
 //! Any violation exits non-zero — `--smoke` is the CI gate. A full run
 //! additionally writes `bench/BENCH_multilevel.json`.
@@ -37,8 +37,9 @@ use symla_baselines::{
     ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
     OocCholPlan, OocGemmPlan, OocLuPlan, OocSyrkPlan, OocTrsmPlan,
 };
+use symla_core::api::SyrkAlgorithm;
 use symla_core::engine::{modelled_time, Engine, Schedule};
-use symla_core::parallel::{parallel_syrk_sharded, BlockStrategy, ShardedReport};
+use symla_core::parallel::{parallel_syrk_sharded, ShardedReport};
 use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
 use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_matrix::generate::{
@@ -252,14 +253,14 @@ struct Row {
     leveled_ns: f64,
 }
 
-/// Runs the sharded SYRK for one strategy and checks its result against the
-/// reference; returns the report.
+/// Runs the sharded SYRK for one schedule and checks its result against
+/// the reference; returns the report.
 fn sharded(
     a: &Matrix<f64>,
     expected: &SymMatrix<f64>,
     nodes: usize,
     s: usize,
-    strategy: BlockStrategy,
+    strategy: SyrkAlgorithm,
     failures: &mut u32,
 ) -> ShardedReport {
     let mut c = SymMatrix::zeros(expected.order());
@@ -413,17 +414,10 @@ fn main() {
         &expected,
         nodes,
         s,
-        BlockStrategy::SquareTiles,
+        SyrkAlgorithm::SquareBlocks,
         &mut failures,
     );
-    let triangle = sharded(
-        &a,
-        &expected,
-        nodes,
-        s,
-        BlockStrategy::TriangleBlocks,
-        &mut failures,
-    );
+    let triangle = sharded(&a, &expected, nodes, s, SyrkAlgorithm::Tbs, &mut failures);
     let ratio = triangle.total_cross() as f64 / square.total_cross() as f64;
     println!(
         "\nsharded n={n} m={m} S={s} nodes={nodes}: cross-shard square {} triangle {} ratio {ratio:.4}",

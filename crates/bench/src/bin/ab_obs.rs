@@ -24,7 +24,7 @@
 //! machine (median of N): the disabled path must not be more than
 //! [`OBS_SLACK`]× slower (real elapsed time is noisy in shared CI runners,
 //! so the gate only rejects catastrophic regressions). Finally a parallel
-//! prefetched SYRK (`P = 4`, `L = 2`) is traced end to end and must yield a
+//! prefetched TBS SYRK (`P = 4`, `L = 2`) is traced end to end and must yield a
 //! Perfetto-loadable file with one track per worker, per-group spans and at
 //! least one prefetch issue→delivery arrow.
 //!
@@ -42,8 +42,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use symla_baselines::{ooc_gemm_schedule, ooc_syrk_schedule, OocGemmPlan, OocSyrkPlan};
 use symla_bench::harness::time_median;
+use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
 use symla_core::engine::{modelled_run_trace, Engine, EngineConfig, Schedule};
-use symla_core::parallel::{parallel_syrk_prefetched, parallel_syrk_traced, BlockStrategy};
 use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
 use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_matrix::generate::{
@@ -318,41 +318,25 @@ fn parallel_gate(workers: usize, lookahead: usize) -> Vec<&'static str> {
     let a: Matrix<f64> = random_matrix_seeded(n, m, 7100);
     let model = MachineModel::nvme();
 
+    let plain = RunOptions::new().workers(workers).lookahead(lookahead);
     let mut reference = SymMatrix::zeros(n);
-    parallel_syrk_prefetched(
-        &a,
-        &mut reference,
-        1.0,
-        workers,
-        s,
-        BlockStrategy::TriangleBlocks,
-        lookahead,
-    )
-    .expect("plain parallel run");
+    syrk_out_of_core_with(&a, &mut reference, 1.0, s, SyrkAlgorithm::Tbs, &plain)
+        .expect("plain parallel run");
 
     let mut checks: Vec<&'static str> = Vec::new();
     for attempt in 0..PARALLEL_ATTEMPTS {
         checks.clear();
         let recorder = TraceRecorder::new();
+        let traced = plain.clone().traced(&model, &recorder);
         let mut c = SymMatrix::zeros(n);
-        let report = parallel_syrk_traced(
-            &a,
-            &mut c,
-            1.0,
-            workers,
-            s,
-            BlockStrategy::TriangleBlocks,
-            lookahead,
-            &model,
-            &recorder,
-        )
-        .expect("traced parallel run");
-        let trace = recorder.finish();
+        let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, SyrkAlgorithm::Tbs, &traced)
+            .expect("traced parallel run");
+        let trace = run.trace.expect("a traced run returns its trace");
 
         if c != reference {
             checks.push("RESULT DIFFERS");
         }
-        let busy = report.per_worker.iter().filter(|w| w.tasks > 0).count();
+        let busy = run.workers.iter().filter(|w| !w.groups.is_empty()).count();
         if busy < workers || trace.workers() < workers {
             checks.push("IDLE WORKER");
         }
@@ -375,7 +359,7 @@ fn parallel_gate(workers: usize, lookahead: usize) -> Vec<&'static str> {
         }
         if checks.is_empty() {
             println!(
-                "parallel_syrk n={n} m={m} S={s} P={workers} L={lookahead}: \
+                "parallel TBS n={n} m={m} S={s} P={workers} L={lookahead}: \
                  {} events, {issues} issues, {deliveries} deliveries, \
                  attempt {attempt}  ok",
                 trace.len()

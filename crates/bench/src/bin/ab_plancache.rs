@@ -3,8 +3,8 @@
 //! bitwise identity of cached execution.
 //!
 //! For every builder the serve layer covers (3 SYRK schedules, 2 Cholesky
-//! schedules, OOC-GEMM, 2 parallel partition strategies) × pass pipeline ×
-//! lookahead, the binary
+//! schedules, OOC-GEMM, and the square-block and TBS SYRK on 3 parallel
+//! workers) × pass pipeline × lookahead, the binary
 //!
 //! 1. times the **cold** plan acquisition (compile: build the schedule IR,
 //!    run the pass pipeline, plan the prefetch lookahead) and the **warm**
@@ -34,7 +34,6 @@ use symla_core::api::{
     cholesky_out_of_core_with, gemm_out_of_core_with, syrk_out_of_core_with, CholeskyAlgorithm,
     Job, RunOptions, SyrkAlgorithm,
 };
-use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::passes::PassPipeline;
 use symla_core::service::PlanService;
 use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded};
@@ -47,7 +46,6 @@ enum Kernel {
     Syrk(SyrkAlgorithm),
     Cholesky(CholeskyAlgorithm),
     Gemm,
-    ParallelSyrk(BlockStrategy),
 }
 
 struct Case {
@@ -59,6 +57,7 @@ struct Case {
     s: usize,
     pipeline: PassPipeline,
     lookahead: usize,
+    workers: usize,
 }
 
 impl Case {
@@ -79,6 +78,7 @@ impl Case {
             s,
             pipeline,
             lookahead,
+            workers: 1,
         }
     }
 
@@ -87,6 +87,7 @@ impl Case {
         RunOptions::new()
             .pipeline(self.pipeline.clone())
             .lookahead(self.lookahead)
+            .workers(self.workers)
     }
 
     /// Acquires (get-or-compile) this case's plan, returning where it came
@@ -109,10 +110,6 @@ impl Case {
                 alpha: 1.25,
                 s,
             },
-            Kernel::ParallelSyrk(strategy) => {
-                let lookup = service.syrk_parallel_plan(n, m, 1.25, s, strategy);
-                return lookup.expect("plan compilation must succeed").source;
-            }
         };
         let lookup = service.plan(&job, &self.options());
         lookup.expect("plan compilation must succeed").source
@@ -156,23 +153,13 @@ impl Case {
                 let serve = run_on(&mut served, &served_options);
                 served == direct && serve.report.stats.volume == run.report.stats.volume
             }
-            Kernel::ParallelSyrk(strategy) => {
-                let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9400);
-                let mut direct = SymMatrix::zeros(self.n);
-                let report = parallel_syrk(&a, &mut direct, 1.25, 3, self.s, strategy).unwrap();
-                let mut served = SymMatrix::zeros(self.n);
-                let serve = service
-                    .syrk_parallel(&a, &mut served, 1.25, 3, self.s, strategy, self.lookahead)
-                    .unwrap();
-                served == direct && serve.report.total_loads() == report.total_loads()
-            }
         }
     }
 }
 
-/// The eight builders × pipeline × lookahead sweep. The parallel partition
-/// cases carry pipeline `none` / lookahead 0 in the key (workers and
-/// runtime lookahead are execution arguments, not plan inputs).
+/// The eight builders × pipeline × lookahead sweep. The parallel cases key
+/// at lookahead 0 (workers and their runtime lookahead are execution
+/// arguments, not plan inputs).
 fn cases(smoke: bool) -> Vec<Case> {
     let (syrk_dims, chol_dims, gemm_dims, par_dims) = if smoke {
         (
@@ -226,17 +213,18 @@ fn cases(smoke: bool) -> Vec<Case> {
             ));
         }
     }
-    for (strategy, name) in [
-        (BlockStrategy::SquareTiles, "par_square"),
-        (BlockStrategy::TriangleBlocks, "par_triangle"),
+    for (algorithm, name) in [
+        (SyrkAlgorithm::SquareBlocks, "par_square"),
+        (SyrkAlgorithm::Tbs, "par_triangle"),
     ] {
-        out.push(Case::new(
-            Kernel::ParallelSyrk(strategy),
+        let case = Case::new(
+            Kernel::Syrk(algorithm),
             name,
             par_dims,
             PassPipeline::none(),
             1,
-        ));
+        );
+        out.push(Case { workers: 3, ..case });
     }
     out
 }

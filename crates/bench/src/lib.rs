@@ -26,9 +26,11 @@ use symla_baselines::{
     ooc_chol_cost, ooc_gemm_cost, ooc_lu_cost, ooc_syrk_cost, OocCholPlan, OocGemmPlan, OocLuPlan,
     OocSyrkPlan,
 };
-use symla_core::api::{cholesky_out_of_core, syrk_out_of_core, CholeskyAlgorithm, SyrkAlgorithm};
+use symla_core::api::{
+    cholesky_out_of_core, syrk_out_of_core, syrk_out_of_core_with, CholeskyAlgorithm, RunOptions,
+    SyrkAlgorithm,
+};
 use symla_core::bounds::{self, LbcTermBreakdown};
-use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::{
     lbc_cost, lbc_cost_breakdown, tbs_cost, tbs_decomposition, tbs_tiled_cost, LbcPlan, TbsPlan,
     TbsTiledPlan, TrailingUpdate,
@@ -672,11 +674,10 @@ pub fn e11_cache_ablation() -> Table {
 }
 
 /// E12 — parallel extension: per-worker communication volume of the
-/// triangle-block vs square-tile distribution of the SYRK trailing update.
-/// Every row is a *real* multi-worker execution against a shared slow
-/// memory (the workers move the data and run the kernels); the reported
-/// volumes are measured per worker and asserted equal to the dry-run
-/// oracle inside `parallel_syrk`.
+/// triangle-block (TBS) vs square-block distribution of a SYRK. Every row
+/// is a *real* multi-worker execution against a shared slow memory (the
+/// workers move the data and run the kernels) through
+/// [`RunOptions::workers`]; the reported volumes are measured per worker.
 pub fn e12_parallel() -> Table {
     let n = 240;
     let m = 32;
@@ -686,7 +687,7 @@ pub fn e12_parallel() -> Table {
         &format!("Parallel SYRK, per-worker traffic; N = {n}, M = {m}, S/worker = {s}"),
         &[
             "workers",
-            "strategy",
+            "schedule",
             "total loads",
             "max per-worker",
             "mean per-worker",
@@ -698,18 +699,24 @@ pub fn e12_parallel() -> Table {
     symla_matrix::kernels::syrk_sym(1.0, &a, 1.0, &mut reference).expect("reference");
 
     for &workers in &[1_usize, 2, 4, 8] {
-        for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+        for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
             let mut c = SymMatrix::<f64>::zeros(n);
-            let report = parallel_syrk(&a, &mut c, 1.0, workers, s, strategy).expect("parallel");
+            let options = RunOptions::new().workers(workers);
+            let run =
+                syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options).expect("parallel");
             assert!(c.approx_eq(&reference, 1e-9));
-            let mean = report.total_loads() as f64 / workers as f64;
+            let total = run.report.stats.volume.loads;
+            // A one-worker run is the serial replay: its one worker moved it all.
+            let max = run.workers.iter().map(|w| w.stats.volume.loads).max();
+            let max = max.unwrap_or(total);
+            let mean = total as f64 / workers as f64;
             table.push_row(vec![
                 workers.to_string(),
-                strategy.name().to_string(),
-                report.total_loads().to_string(),
-                report.max_loads().to_string(),
+                algorithm.name().to_string(),
+                total.to_string(),
+                max.to_string(),
                 fmt_f(mean),
-                fmt_ratio(report.imbalance()),
+                fmt_ratio(if total == 0 { 1.0 } else { max as f64 / mean }),
             ]);
         }
     }

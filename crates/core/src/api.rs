@@ -7,9 +7,11 @@
 //! [`RunOptions`], and returning one [`Run`]. The options combine freely: a
 //! pass pipeline, a prefetch lookahead, a timing model (priced replay), a
 //! trace recorder (instrumented replay), a tuning space (the autotuner picks
-//! tile, pipeline and lookahead) and a [`PlanService`] (the plan comes from
-//! the content-addressed cache). All three share one private path: compile
-//! the plan, replay it, fill the `Run`. [`syrk_out_of_core`],
+//! tile, pipeline and lookahead), a [`PlanService`] (the plan comes from
+//! the content-addressed cache) and a worker count (the independent task
+//! groups of a SYRK or GEMM plan replay on `P` workers of a shared slow
+//! memory). All three share one private path: compile the plan, replay it,
+//! fill the `Run`. [`syrk_out_of_core`],
 //! [`cholesky_out_of_core`] and [`gemm_out_of_core`] are that path with the
 //! default options:
 //!
@@ -40,14 +42,14 @@ use symla_baselines::{
 };
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
 use symla_memory::{
-    IoStats, LatencyMachine, MachineConfig, MachineModel, MachineOps, MatrixId, MemoryError,
-    OocMachine, PanelRef, SymWindowRef, TimeStats,
+    IoStats, LatencyMachine, MachineConfig, MachineModel, MatrixId, MemoryError, OocMachine,
+    PanelRef, SharedSlowMemory, SymWindowRef, TimeStats,
 };
 use symla_obs::{InstrumentedMachine, RunTrace, TraceRecorder};
 use symla_plancache::PlanSource;
 use symla_sched::autotune::{Tuner, TuningReport, TuningSpace};
 use symla_sched::timing::modelled_time_planned;
-use symla_sched::PrefetchPlan;
+use symla_sched::{EngineConfig, PrefetchPlan, WorkerRun};
 
 /// Out-of-core SYRK schedules exposed by the high-level API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,7 +242,7 @@ pub struct Run {
     /// Per-pass accounting of the passes this call ran (empty when none
     /// ran or the plan came from the cache).
     pub stages: Vec<StageOutcome>,
-    /// Measured-vs-modelled wall clock of a priced or traced run.
+    /// Measured-vs-modelled wall clock of a priced or traced serial run.
     pub clock: Option<WallClock>,
     /// The event trace of a traced run (drained from the recorder).
     pub trace: Option<RunTrace>,
@@ -248,6 +250,9 @@ pub struct Run {
     pub tuning: Option<TuningReport>,
     /// Plan source and key hash of a run served through a [`PlanService`].
     pub served: Option<Served>,
+    /// Per-worker accounting of a parallel run (empty when serial):
+    /// `report.stats` is their [`WorkerRun::merged_stats`].
+    pub workers: Vec<WorkerRun>,
     predicted: bool,
 }
 
@@ -367,6 +372,7 @@ pub struct RunOptions<'a, T: Scalar> {
     pub(crate) recorder: Option<&'a TraceRecorder>,
     pub(crate) tuning: Option<(&'a TuningSpace, &'a MachineModel)>,
     pub(crate) service: Option<&'a PlanService<T>>,
+    pub(crate) workers: usize,
 }
 
 impl<T: Scalar> Default for RunOptions<'_, T> {
@@ -378,6 +384,7 @@ impl<T: Scalar> Default for RunOptions<'_, T> {
             recorder: None,
             tuning: None,
             service: None,
+            workers: 1,
         }
     }
 }
@@ -517,8 +524,67 @@ impl<'a, T: Scalar> RunOptions<'a, T> {
         self
     }
 
+    /// Replays the plan's task groups on `workers` threads, each a private
+    /// fast memory of `S` elements against one shared slow memory (the
+    /// paper's parallel model; `1`, the default, is the serial replay).
+    /// Groups are dealt over work-stealing deques; at a lookahead `L > 0`
+    /// each worker prefetches the loads of up to `L` groups it has claimed.
+    /// The result is bitwise the serial one and `report.stats` merges the
+    /// workers' accounting: volumes, events, flops and phases equal the
+    /// serial run's, and at lookahead 0 so does the peak (a per-group
+    /// maximum). Only SYRK and GEMM plans have independent groups; a
+    /// parallel run is untuned and, when observed, traced (one track per
+    /// worker, no clock). Worker count and lookahead are not plan inputs:
+    /// a cached parallel run shares the serial lookahead-0 plan.
+    ///
+    /// ```
+    /// use symla_core::api::{syrk_out_of_core_with, RunOptions, SyrkAlgorithm};
+    /// use symla_matrix::{generate, SymMatrix};
+    ///
+    /// let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+    /// let (mut serial, mut parallel) = (SymMatrix::zeros(40), SymMatrix::zeros(40));
+    /// let tbs = SyrkAlgorithm::Tbs;
+    /// let one = syrk_out_of_core_with(&a, &mut serial, 1.0, 15, tbs, &RunOptions::new()).unwrap();
+    /// let four = RunOptions::new().workers(4);
+    /// let run = syrk_out_of_core_with(&a, &mut parallel, 1.0, 15, tbs, &four).unwrap();
+    /// assert!(parallel == serial);
+    /// assert_eq!(run.workers.len(), 4);
+    /// assert_eq!(run.report.stats, one.report.stats);
+    /// ```
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// The lookahead a plan is compiled for: a parallel run's workers plan
+    /// their own prefetches, so it takes the lookahead-0 plan.
+    pub(crate) fn plan_lookahead(&self) -> usize {
+        if self.workers > 1 {
+            0
+        } else {
+            self.lookahead
+        }
+    }
+
     /// Rejects the combinations that cannot run.
-    pub(crate) fn check(&self) -> Result<()> {
+    pub(crate) fn check(&self, job: &Job<T>) -> Result<()> {
+        let invalid = |msg: &str| Err(OocError::Invalid(msg.into()));
+        if self.workers == 0 {
+            return invalid("a run needs at least one worker");
+        }
+        if self.workers > 1 {
+            if matches!(job, Job::Cholesky { .. }) {
+                return invalid(
+                    "a Cholesky plan orders its groups through slow memory: one worker",
+                );
+            }
+            if self.tuning.is_some() {
+                return invalid("a tuned run replays on one worker");
+            }
+            if self.model.is_some() && self.recorder.is_none() {
+                return invalid("a parallel run on several workers is traced, not priced");
+            }
+        }
         let Some((space, _)) = self.tuning else {
             return Ok(());
         };
@@ -689,7 +755,7 @@ impl<T: Scalar> Job<T> {
     }
 
     /// [`build`](Self::build) with the schedule.
-    fn schedule(&self, tile: Option<usize>) -> Result<(IoEstimate, Schedule<T>)> {
+    pub(crate) fn schedule(&self, tile: Option<usize>) -> Result<(IoEstimate, Schedule<T>)> {
         let (cost, schedule) = self.build(tile, true)?;
         Ok((
             cost,
@@ -782,8 +848,8 @@ pub(crate) fn compile<T: Scalar>(
             .map_err(|e| OocError::Invalid(format!("pass pipeline: {e}")))?;
         (optimized.schedule, optimized.stages)
     };
-    let prefetch =
-        (options.lookahead > 0).then(|| PrefetchPlan::plan(&schedule, options.lookahead, Some(s)));
+    let lookahead = options.plan_lookahead();
+    let prefetch = (lookahead > 0).then(|| PrefetchPlan::plan(&schedule, lookahead, Some(s)));
     let notes = Notes {
         predicted: Some(predicted),
         stages,
@@ -792,28 +858,136 @@ pub(crate) fn compile<T: Scalar>(
     Ok(((schedule, prefetch), notes))
 }
 
-/// The one serial replay of a compiled plan.
-fn replay<T: Scalar, M: MachineOps<T>>(
-    machine: &mut M,
+/// A serially replayed machine with its clock and its trace.
+type Serial<T> = (OocMachine<T>, Option<TimeStats>, Option<RunTrace>);
+
+/// The serial replay of a compiled plan on `machine`, bare, priced or
+/// instrumented as the options ask.
+fn replay_serial<T: Scalar>(
+    mut machine: OocMachine<T>,
     schedule: &Schedule<T>,
     prefetch: &PrefetchPlan,
-) -> Result<()> {
-    Ok(Engine::execute_planned(machine, schedule, prefetch)?)
+    options: &RunOptions<'_, T>,
+) -> Result<Serial<T>> {
+    match (options.model, options.recorder) {
+        (None, _) => {
+            Engine::execute_planned(&mut machine, schedule, prefetch)?;
+            Ok((machine, None, None))
+        }
+        (Some(model), None) => {
+            let mut priced = LatencyMachine::new(machine, *model);
+            Engine::execute_planned(&mut priced, schedule, prefetch)?;
+            let measured = priced.time();
+            Ok((priced.into_inner(), Some(measured), None))
+        }
+        (Some(model), Some(recorder)) => {
+            let mut observed = InstrumentedMachine::new(machine, *model, recorder.clone(), 0);
+            let outcome = Engine::execute_planned(&mut observed, schedule, prefetch);
+            // Drained on failure too: no event leaks into the next trace.
+            let trace = recorder.finish();
+            outcome?;
+            let measured = observed.time();
+            Ok((observed.into_inner(), Some(measured), Some(trace)))
+        }
+    }
+}
+
+/// The parallel replay of a compiled plan: its task groups on
+/// `options.workers` workers of `shared`, each with a private fast memory
+/// of `s` elements, traced when the options trace.
+fn replay_parallel<T: Scalar>(
+    shared: &SharedSlowMemory<T>,
+    schedule: &Schedule<T>,
+    s: usize,
+    options: &RunOptions<'_, T>,
+) -> Result<(Vec<WorkerRun>, Option<RunTrace>)> {
+    let (workers, config) = (options.workers, MachineConfig::with_capacity(s));
+    let engine = EngineConfig::with_lookahead(options.lookahead);
+    let (outcome, trace) = match (options.model, options.recorder) {
+        (Some(model), Some(recorder)) => {
+            let outcome = Engine::execute_parallel_traced(
+                shared, schedule, workers, config, "main", &engine, model, recorder,
+            );
+            // Drained on failure too: no event leaks into the next trace.
+            (outcome, Some(recorder.finish()))
+        }
+        _ => {
+            let outcome =
+                Engine::execute_parallel_with(shared, schedule, workers, config, "main", &engine);
+            (outcome, None)
+        }
+    };
+    Ok((outcome.map_err(|e| e.error)?, trace))
+}
+
+/// The slow memory of one run: the serial machine's, or the one the
+/// workers of a parallel run share.
+enum Memory<T: Scalar> {
+    Serial(Box<OocMachine<T>>),
+    Shared(SharedSlowMemory<T>),
+}
+
+/// Where a run keeps its operands: the serial machine's slow memory or the
+/// shared slow memory of a parallel run.
+trait Operands<T: Scalar> {
+    fn insert_dense(&mut self, m: Matrix<T>) -> MatrixId;
+    fn insert_symmetric(&mut self, s: SymMatrix<T>) -> MatrixId;
+    fn take_dense(&mut self, id: MatrixId) -> std::result::Result<Matrix<T>, MemoryError>;
+    fn take_symmetric(&mut self, id: MatrixId) -> std::result::Result<SymMatrix<T>, MemoryError>;
+}
+
+impl<T: Scalar> Operands<T> for OocMachine<T> {
+    fn insert_dense(&mut self, m: Matrix<T>) -> MatrixId {
+        OocMachine::insert_dense(self, m)
+    }
+    fn insert_symmetric(&mut self, s: SymMatrix<T>) -> MatrixId {
+        OocMachine::insert_symmetric(self, s)
+    }
+    fn take_dense(&mut self, id: MatrixId) -> std::result::Result<Matrix<T>, MemoryError> {
+        OocMachine::take_dense(self, id)
+    }
+    fn take_symmetric(&mut self, id: MatrixId) -> std::result::Result<SymMatrix<T>, MemoryError> {
+        OocMachine::take_symmetric(self, id)
+    }
+}
+
+impl<T: Scalar> Operands<T> for SharedSlowMemory<T> {
+    fn insert_dense(&mut self, m: Matrix<T>) -> MatrixId {
+        SharedSlowMemory::insert_dense(self, m)
+    }
+    fn insert_symmetric(&mut self, s: SymMatrix<T>) -> MatrixId {
+        SharedSlowMemory::insert_symmetric(self, s)
+    }
+    fn take_dense(&mut self, id: MatrixId) -> std::result::Result<Matrix<T>, MemoryError> {
+        SharedSlowMemory::take_dense(self, id)
+    }
+    fn take_symmetric(&mut self, id: MatrixId) -> std::result::Result<SymMatrix<T>, MemoryError> {
+        SharedSlowMemory::take_symmetric(self, id)
+    }
 }
 
 /// The path behind every entry point: register the operands in plan order
-/// on one fresh machine, compile (or fetch) the plan, replay on the bare
-/// machine or its priced or instrumented wrapper, extract the result and
-/// fill the [`Run`].
+/// in a fresh slow memory (the serial machine's, or a shared one for a
+/// parallel run), compile (or fetch) the plan, replay it on the bare
+/// machine, its priced or instrumented wrapper or the parallel workers,
+/// extract the result and fill the [`Run`].
 fn run_job<T: Scalar, R>(
     job: Job<T>,
     options: &RunOptions<'_, T>,
-    register: impl FnOnce(&mut OocMachine<T>) -> Vec<MatrixId>,
-    extract: impl FnOnce(&mut OocMachine<T>) -> std::result::Result<R, MemoryError>,
+    register: impl FnOnce(&mut dyn Operands<T>) -> Vec<MatrixId>,
+    extract: impl FnOnce(&mut dyn Operands<T>) -> std::result::Result<R, MemoryError>,
 ) -> Result<(R, Run)> {
-    options.check()?;
-    let mut machine = OocMachine::new(MachineConfig::with_capacity(job.capacity()));
-    let ids = register(&mut machine);
+    options.check(&job)?;
+    let s = job.capacity();
+    let mut memory = if options.workers > 1 {
+        Memory::Shared(SharedSlowMemory::new())
+    } else {
+        Memory::Serial(Box::new(OocMachine::new(MachineConfig::with_capacity(s))))
+    };
+    let ids = register(match &mut memory {
+        Memory::Serial(machine) => machine.as_mut(),
+        Memory::Shared(shared) => shared,
+    });
     debug_assert!(
         (0..).zip(&ids).all(|(i, id)| *id == MatrixId::synthetic(i)),
         "operand registration order must match plan compilation"
@@ -847,25 +1021,17 @@ fn run_job<T: Scalar, R>(
     };
     let empty = PrefetchPlan::default();
     let prefetch = prefetch.unwrap_or(&empty);
-    let (mut machine, measured, trace) = match (options.model, options.recorder) {
-        (None, _) => {
-            replay(&mut machine, schedule, prefetch)?;
-            (machine, None, None)
+    let (stats, measured, trace, workers, result) = match memory {
+        Memory::Serial(machine) => {
+            let (mut machine, measured, trace) =
+                replay_serial(*machine, schedule, prefetch, options)?;
+            let stats = machine.stats().clone();
+            (stats, measured, trace, Vec::new(), extract(&mut machine)?)
         }
-        (Some(model), None) => {
-            let mut priced = LatencyMachine::new(machine, *model);
-            replay(&mut priced, schedule, prefetch)?;
-            let measured = priced.time();
-            (priced.into_inner(), Some(measured), None)
-        }
-        (Some(model), Some(recorder)) => {
-            let mut observed = InstrumentedMachine::new(machine, *model, recorder.clone(), 0);
-            let outcome = replay(&mut observed, schedule, prefetch);
-            // Drained on failure too: no event leaks into the next trace.
-            let trace = recorder.finish();
-            outcome?;
-            let measured = observed.time();
-            (observed.into_inner(), Some(measured), Some(trace))
+        Memory::Shared(mut shared) => {
+            let (workers, trace) = replay_parallel(&shared, schedule, s, options)?;
+            let stats = WorkerRun::merged_stats(&workers);
+            (stats, None, trace, workers, extract(&mut shared)?)
         }
     };
     let clock = match (measured, options.model) {
@@ -875,8 +1041,6 @@ fn run_job<T: Scalar, R>(
         }),
         _ => None,
     };
-    let stats = machine.stats().clone();
-    let result = extract(&mut machine)?;
     let run = Run {
         report: job.report(stats, notes.predicted.unwrap_or_default()),
         stages: notes.stages,
@@ -884,6 +1048,7 @@ fn run_job<T: Scalar, R>(
         trace,
         tuning: notes.tuning,
         served,
+        workers,
         predicted: notes.predicted.is_some(),
     };
     Ok((result, run))
@@ -914,13 +1079,13 @@ pub fn syrk_out_of_core_with<T: Scalar>(
         alpha,
         s,
     };
-    let register = |machine: &mut OocMachine<T>| {
+    let register = |slow: &mut dyn Operands<T>| {
         vec![
-            machine.insert_dense(a.clone()),
-            machine.insert_symmetric(c.clone()),
+            slow.insert_dense(a.clone()),
+            slow.insert_symmetric(c.clone()),
         ]
     };
-    let extract = |machine: &mut OocMachine<T>| machine.take_symmetric(MatrixId::synthetic(1));
+    let extract = |slow: &mut dyn Operands<T>| slow.take_symmetric(MatrixId::synthetic(1));
     let (result, run) = run_job(job, options, register, extract)?;
     *c = result;
     Ok(run)
@@ -937,9 +1102,9 @@ pub fn cholesky_out_of_core_with<T: Scalar>(
 ) -> Result<(LowerTriangular<T>, Run)> {
     let n = a.order();
     let job = Job::Cholesky { algorithm, n, s };
-    let register = |machine: &mut OocMachine<T>| vec![machine.insert_symmetric(a.clone())];
-    let extract = |machine: &mut OocMachine<T>| {
-        let result = machine.take_symmetric(MatrixId::synthetic(0))?;
+    let register = |slow: &mut dyn Operands<T>| vec![slow.insert_symmetric(a.clone())];
+    let extract = |slow: &mut dyn Operands<T>| {
+        let result = slow.take_symmetric(MatrixId::synthetic(0))?;
         Ok(LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j)))
     };
     run_job(job, options, register, extract)
@@ -972,14 +1137,14 @@ pub fn gemm_out_of_core_with<T: Scalar>(
         )));
     }
     let job = Job::Gemm { n, m, p, alpha, s };
-    let register = |machine: &mut OocMachine<T>| {
+    let register = |slow: &mut dyn Operands<T>| {
         vec![
-            machine.insert_dense(a.clone()),
-            machine.insert_dense(b.clone()),
-            machine.insert_dense(c.clone()),
+            slow.insert_dense(a.clone()),
+            slow.insert_dense(b.clone()),
+            slow.insert_dense(c.clone()),
         ]
     };
-    let extract = |machine: &mut OocMachine<T>| machine.take_dense(MatrixId::synthetic(2));
+    let extract = |slow: &mut dyn Operands<T>| slow.take_dense(MatrixId::synthetic(2));
     let (result, run) = run_job(job, options, register, extract)?;
     *c = result;
     Ok(run)

@@ -19,8 +19,8 @@
 //!   (the `√2` headline);
 //! * [`api`] — one entry point per kernel (`*_out_of_core_with`) returning
 //!   the factor/result together with a full I/O report, its modes
-//!   (passes, prefetch, pricing, tracing, tuning, plan cache) chosen by one
-//!   [`api::RunOptions`];
+//!   (passes, prefetch, pricing, tracing, tuning, plan cache, parallel
+//!   workers) chosen by one [`api::RunOptions`];
 //! * [`engine`] — the schedule-IR execution engine: every algorithm above is
 //!   a *schedule builder* whose IR the engine replays in execute, dry-run,
 //!   trace or execute-parallel mode;
@@ -30,10 +30,10 @@
 //!   coalescing, dead-store elimination, locality reordering), exposed as
 //!   [`api::RunOptions::pipeline`] and A/B-accounted by the experiment
 //!   harness;
-//! * [`parallel`] — a shared-slow-memory parallel SYRK executed for real on
-//!   `P` capacity-checked workers with per-worker communication accounting
-//!   (the paper's "future work" direction), built on the same task groups
-//!   the engine executes serially;
+//! * [`parallel`] — the paper's "future work" direction: SYRK on a
+//!   sharded slow memory, whose task groups (the same ones a serial or
+//!   [`api::RunOptions::workers`] run replays) are assigned statically to
+//!   nodes, with per-node cross-shard accounting;
 //! * [`service`] — the compile-once/replay-many serve layer: a
 //!   [`service::PlanService`] backed by the content-addressed plan cache of
 //!   `symla-plancache` (in-memory LRU + optional disk tier) that acquires
@@ -80,7 +80,7 @@ pub use lbc::{
 };
 pub use passes::{PassManager, PassPipeline};
 pub use plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
-pub use service::{PlanService, ServedParallelRun, SharedPlanService};
+pub use service::{PlanService, SharedPlanService};
 pub use tbs::{
     tbs_build, tbs_cost, tbs_decomposition, tbs_execute, tbs_schedule, TbsDecomposition,
 };

@@ -9,13 +9,15 @@
 //! disk tier, single-flight under concurrency), and a run whose
 //! [`RunOptions`] name the service replays cache hits with **zero planner
 //! work**: the cached prefetch plan goes straight to
-//! [`Engine::execute_planned`](symla_sched::Engine::execute_planned), and
-//! parallel replays hand the cached partition schedule straight to
-//! `Engine::execute_parallel_with`.
+//! [`Engine::execute_planned`](symla_sched::Engine::execute_planned). A
+//! parallel run ([`RunOptions::workers`]) hands the cached schedule to the
+//! parallel engine, whose workers plan their own prefetches, so it shares
+//! the serial lookahead-0 plan of its shape.
 //!
-//! Plans are compiled against [`MatrixId::synthetic`] operand ids, and
-//! machine-issued ids start at 0 per machine in insertion order — every run
-//! registers its operands in the order the plan was compiled for, so one
+//! Plans are compiled against
+//! [`MatrixId::synthetic`](symla_memory::MatrixId::synthetic) operand ids,
+//! and machine-issued ids start at 0 per machine in insertion order — every
+//! run registers its operands in the order the plan was compiled for, so one
 //! cached plan replays on any machine and any data of the right shape.
 //!
 //! ```
@@ -50,25 +52,12 @@ use crate::api::{
     cholesky_out_of_core_with, compile, syrk_out_of_core_with, CholeskyAlgorithm, Job, Run,
     RunOptions, SyrkAlgorithm,
 };
-use crate::parallel::{partition_schedule_scaled, BlockStrategy, ParallelReport, WorkerIo};
-use symla_baselines::error::{OocError, Result};
+use symla_baselines::error::Result;
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
-use symla_memory::{MachineConfig, MatrixId, SharedSlowMemory};
 use symla_obs::{EventKind, RunReport};
 use symla_plancache::{CacheStats, Lookup, PlanCache, PlanCacheConfig, PlanKey, PlanSource};
 use symla_sched::autotune::model_fingerprint;
-use symla_sched::{Engine, EngineConfig, PassPipeline};
-
-/// Outcome of one served parallel execution.
-#[derive(Debug, Clone)]
-pub struct ServedParallelRun {
-    /// Per-worker report of this replay.
-    pub report: ParallelReport,
-    /// Where the partition schedule came from.
-    pub source: PlanSource,
-    /// The cache's content hash for the plan key.
-    pub key_hash: u64,
-}
+use symla_sched::PassPipeline;
 
 /// "Get-or-compile the plan": a [`PlanCache`] keyed by [`Job`] and
 /// [`RunOptions`].
@@ -79,8 +68,7 @@ pub struct ServedParallelRun {
 /// themselves — `dry_run`, `trace`, or a custom machine. Any run served
 /// through the cache is a `*_out_of_core_with` call whose options name the
 /// service ([`RunOptions::cached`]); [`syrk`](Self::syrk) and
-/// [`cholesky`](Self::cholesky) spell the common ones, and
-/// [`syrk_parallel`](Self::syrk_parallel) serves the parallel SYRK.
+/// [`cholesky`](Self::cholesky) spell the common ones.
 #[derive(Debug)]
 pub struct PlanService<T: Scalar> {
     cache: PlanCache<T>,
@@ -125,7 +113,9 @@ impl<T: Scalar> PlanService<T> {
     /// plus either the pipeline and lookahead or — for a tuned run, whose
     /// pipeline, tile and lookahead are *outputs* of the search — the
     /// fingerprints of the searched space and of the model it was scored
-    /// against (tuning for a different machine must miss).
+    /// against (tuning for a different machine must miss). The worker
+    /// count never enters the key: a parallel run's workers plan their own
+    /// prefetches, so it keys at lookahead 0 and shares the serial plan.
     pub fn key(job: &Job<T>, options: &RunOptions<'_, T>) -> PlanKey {
         // Per kernel: builder name, the key's two dimensions, IR parameters.
         let (kernel, n, m, params) = match *job {
@@ -150,7 +140,12 @@ impl<T: Scalar> PlanService<T> {
             }
         };
         let (kernel, pipeline, lookahead, search) = match options.tuning {
-            None => (kernel, options.pipeline.clone(), options.lookahead, vec![]),
+            None => (
+                kernel,
+                options.pipeline.clone(),
+                options.plan_lookahead(),
+                vec![],
+            ),
             Some((space, model)) => {
                 let search = vec![space.fingerprint(), model_fingerprint(model)];
                 (
@@ -173,7 +168,7 @@ impl<T: Scalar> PlanService<T> {
     /// lookup as [`EventKind::CacheLookup`] (plus
     /// [`EventKind::CacheCompile`] on a miss).
     pub fn plan(&self, job: &Job<T>, options: &RunOptions<'_, T>) -> Result<Lookup<T>> {
-        options.check()?;
+        options.check(job)?;
         let key = Self::key(job, options);
         let lookup = self
             .cache
@@ -186,66 +181,6 @@ impl<T: Scalar> PlanService<T> {
             }
         }
         Ok(lookup)
-    }
-
-    /// The plan key of a parallel SYRK partition schedule (operands: `C`
-    /// then `A`). Worker count and runtime lookahead are execution-time
-    /// arguments, not plan inputs — the same cached partition serves any
-    /// worker count.
-    pub fn syrk_parallel_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        memory_per_worker: usize,
-        strategy: BlockStrategy,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("syrk-parallel/{}", strategy.name()),
-            n,
-            m,
-            memory_per_worker,
-            PassPipeline::none(),
-            0,
-        )
-        .with_f64_param(alpha.to_f64())
-    }
-
-    /// The plan key of a *sharded* parallel SYRK run (see
-    /// [`parallel_syrk_sharded`](crate::parallel::parallel_syrk_sharded)).
-    /// The shard count enters through the key's memory-hierarchy
-    /// fingerprint: sharding changes the node partitioning a served plan
-    /// would bake in, so a sharded plan must not share a cache slot with
-    /// the unsharded one. With one shard the key collapses to
-    /// [`syrk_parallel_key`](Self::syrk_parallel_key) — the layouts are
-    /// the same machine.
-    pub fn syrk_sharded_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        memory_per_node: usize,
-        strategy: BlockStrategy,
-        shards: usize,
-    ) -> PlanKey {
-        Self::syrk_parallel_key(n, m, alpha, memory_per_node, strategy).with_hierarchy(&[], shards)
-    }
-
-    /// Gets or compiles the partition schedule of a parallel SYRK run (ids
-    /// `C = 0`, `A = 1`, matching [`crate::parallel::parallel_syrk`]).
-    /// Group-to-worker assignment is dynamic, so no prefetch plan is cached;
-    /// `execute_parallel_with` plans per worker at its runtime lookahead.
-    pub fn syrk_parallel_plan(
-        &self,
-        n: usize,
-        m: usize,
-        alpha: T,
-        memory_per_worker: usize,
-        strategy: BlockStrategy,
-    ) -> Result<Lookup<T>> {
-        let key = Self::syrk_parallel_key(n, m, alpha, memory_per_worker, strategy);
-        self.cache.get_or_compile(&key, || {
-            let schedule = partition_schedule_scaled(n, m, memory_per_worker, strategy, alpha)?;
-            Ok((schedule, None))
-        })
     }
 
     /// Serves an out-of-core SYRK (`C += alpha·A·Aᵀ`) at the given pipeline
@@ -286,88 +221,6 @@ impl<T: Scalar> PlanService<T> {
             .cached(self);
         cholesky_out_of_core_with(a, s, algorithm, &options)
     }
-
-    /// Serves a shared-slow-memory parallel SYRK: the cached partition
-    /// schedule is handed to `Engine::execute_parallel_with`, which
-    /// distributes its task groups over `workers` capacity-checked workers
-    /// (optionally pipelining up to `lookahead` units per worker). Numerical
-    /// results are bitwise-identical to
-    /// [`parallel_syrk`](crate::parallel::parallel_syrk); the serve path
-    /// skips that function's per-worker dry-run oracle assertion to keep the
-    /// replay free of planner work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_parallel(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        workers: usize,
-        memory_per_worker: usize,
-        strategy: BlockStrategy,
-        lookahead: usize,
-    ) -> Result<ServedParallelRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "parallel SYRK operand mismatch: A has {} rows but C has order {n}",
-                a.rows()
-            )));
-        }
-        if workers == 0 {
-            return Err(OocError::Invalid("need at least one worker".into()));
-        }
-        let lookup = self.syrk_parallel_plan(n, m, alpha, memory_per_worker, strategy)?;
-
-        let shared = SharedSlowMemory::new();
-        let c_id = shared.insert_symmetric(std::mem::replace(c, SymMatrix::zeros(0)));
-        let a_id = shared.insert_dense(a.clone());
-        debug_assert_eq!(
-            (c_id, a_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        let outcome = Engine::execute_parallel_with(
-            &shared,
-            lookup.plan.schedule(),
-            workers,
-            MachineConfig::with_capacity(memory_per_worker),
-            "parallel",
-            &EngineConfig::with_lookahead(lookahead),
-        );
-        let runs = match outcome {
-            Ok(runs) => runs,
-            Err(e) => {
-                *c = shared
-                    .take_symmetric(c_id)
-                    .expect("workers released every lease on abort");
-                return Err(e.error.into());
-            }
-        };
-        *c = shared.take_symmetric(c_id)?;
-
-        let mut per_worker = Vec::with_capacity(workers);
-        let mut prefetched_loads = 0;
-        for run in &runs {
-            per_worker.push(WorkerIo {
-                loads: run.stats.volume.loads,
-                stores: run.stats.volume.stores,
-                tasks: run.groups.len(),
-            });
-            prefetched_loads += run.stats.prefetched_elements;
-        }
-        Ok(ServedParallelRun {
-            report: ParallelReport {
-                workers,
-                strategy,
-                memory_per_worker,
-                per_worker,
-                prefetched_loads,
-            },
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
 }
 
 /// A service can be shared across threads behind an [`Arc`]; this alias
@@ -378,29 +231,13 @@ pub type SharedPlanService<T> = Arc<PlanService<T>>;
 mod tests {
     use super::*;
     use crate::api::{gemm_out_of_core_with, Served};
-    use crate::parallel::parallel_syrk;
     use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded};
     use symla_memory::MachineModel;
     use symla_obs::TraceRecorder;
+    use symla_sched::Engine;
 
     fn served(run: &Run) -> Served {
         run.served.expect("a cached run reports its plan source")
-    }
-
-    #[test]
-    fn sharded_keys_split_from_the_unsharded_slot() {
-        let base =
-            PlanService::<f64>::syrk_parallel_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles);
-        let one =
-            PlanService::<f64>::syrk_sharded_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles, 1);
-        let two =
-            PlanService::<f64>::syrk_sharded_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles, 2);
-        let three =
-            PlanService::<f64>::syrk_sharded_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles, 3);
-        // One shard is the unsharded machine: same key, same cache slot.
-        assert_eq!(one.content_hash(), base.content_hash());
-        assert_ne!(two.content_hash(), base.content_hash());
-        assert_ne!(two.content_hash(), three.content_hash());
     }
 
     /// Plan keys name disk-tier files, so a tier written by an earlier
@@ -448,10 +285,6 @@ mod tests {
         let options = RunOptions::new().tuned(&space, &model);
         let key = PlanService::key(&syrk(1.0, SyrkAlgorithm::TbsTiled), &options);
         assert_eq!(key.content_hash(), 0xdc49c7354afe6914);
-
-        let parallel =
-            PlanService::<f64>::syrk_parallel_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles);
-        assert_eq!(parallel.content_hash(), 0x5be6f49257584643);
     }
 
     #[test]
@@ -658,36 +491,39 @@ mod tests {
     fn served_parallel_syrk_matches_direct_run() {
         let (n, m, s) = (40usize, 8usize, 12usize);
         let a: Matrix<f64> = random_matrix_seeded(n, m, 56);
-        let service = PlanService::<f64>::in_memory();
 
-        for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+        for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
+            let service = PlanService::<f64>::in_memory();
             let mut reference = SymMatrix::zeros(n);
-            let direct = parallel_syrk(&a, &mut reference, 1.0, 3, s, strategy).unwrap();
+            let parallel = RunOptions::new().workers(3);
+            let direct =
+                syrk_out_of_core_with(&a, &mut reference, 1.0, s, algorithm, &parallel).unwrap();
 
-            // Cold serve, then warm serves across *different* worker counts:
-            // one cached partition schedule drives them all.
+            // Cold serve, then warm serves across *different* worker counts
+            // and lookaheads: one cached lookahead-0 plan drives them all,
+            // the serial replay included.
             let mut sources = Vec::new();
-            for workers in [3usize, 1, 4] {
+            for (workers, lookahead) in [(3usize, 1usize), (1, 0), (4, 2)] {
+                let ctx = format!("{} P={workers} L={lookahead}", algorithm.name());
+                let options = RunOptions::new()
+                    .workers(workers)
+                    .lookahead(lookahead)
+                    .cached(&service);
                 let mut c = SymMatrix::zeros(n);
-                let run = service
-                    .syrk_parallel(&a, &mut c, 1.0, workers, s, strategy, 1)
-                    .unwrap();
-                assert!(c == reference, "{} P={workers}", strategy.name());
-                assert_eq!(
-                    run.report.total_loads(),
-                    direct.total_loads(),
-                    "{} P={workers}",
-                    strategy.name()
-                );
-                assert_eq!(run.report.workers, workers);
-                sources.push(run.source);
+                let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options).unwrap();
+                assert!(c == reference, "{ctx}");
+                assert_eq!(run.report.stats.volume, direct.report.stats.volume, "{ctx}");
+                let expect_workers = if workers > 1 { workers } else { 0 };
+                assert_eq!(run.workers.len(), expect_workers, "{ctx}");
+                sources.push(served(&run).source);
             }
-            assert_eq!(sources[0], PlanSource::Compiled, "{}", strategy.name());
+            let ctx = algorithm.name();
+            assert_eq!(sources[0], PlanSource::Compiled, "{ctx}");
             assert!(
                 sources[1..].iter().all(|s| *s == PlanSource::Memory),
-                "{}",
-                strategy.name()
+                "{ctx}"
             );
+            assert_eq!(service.stats().compiles, 1, "{ctx}");
         }
     }
 

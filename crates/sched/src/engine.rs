@@ -137,16 +137,17 @@ struct Bufs<T: Scalar> {
 }
 
 impl<T: Scalar> Bufs<T> {
-    fn insert(&mut self, id: BufId, buf: FastBuf<T>) {
+    /// Binds `id` to `buf`, returning the buffer `id` displaced if it was
+    /// still live.
+    fn insert(&mut self, id: BufId, buf: FastBuf<T>) -> Option<FastBuf<T>> {
         let slot = self.free.pop().unwrap_or(self.slots.len());
         if slot == self.slots.len() {
             self.slots.push(None);
         }
         self.slots[slot] = Some(buf);
-        if let Some(replaced) = self.index.insert(id, slot) {
-            self.slots[replaced] = None;
-            self.free.push(replaced);
-        }
+        let replaced = self.index.insert(id, slot)?;
+        self.free.push(replaced);
+        self.slots[replaced].take()
     }
 
     fn remove(&mut self, id: &BufId) -> Option<FastBuf<T>> {
@@ -533,21 +534,30 @@ impl Engine {
             )));
         }
         // A plan may come from disk: reject out-of-range coordinates here
-        // rather than index-panicking inside the replay.
+        // rather than index-panicking inside the replay, and reject issues
+        // that do not stand for exactly one later group's `Load` (a
+        // repeated issue would load a buffer nothing consumes).
+        let mut issues = 0;
         for boundary in 0..plan.num_boundaries() {
             for issue in plan.issues_at(boundary) {
-                let valid = schedule
+                let step = schedule
                     .groups
                     .get(issue.group)
-                    .is_some_and(|g| issue.step < g.steps.len());
-                if !valid {
+                    .and_then(|g| g.steps.get(issue.step));
+                if issue.group <= boundary || !matches!(step, Some(Step::Load { .. })) {
                     return Err(EngineError::InvalidArgument(format!(
-                        "prefetch plan targets step {} of group {}, out of range \
-                         for this schedule",
+                        "prefetch plan at boundary {boundary} targets step {} of group {}, \
+                         not a load of a later group of this schedule",
                         issue.step, issue.group
                     )));
                 }
+                issues += 1;
             }
+        }
+        if issues != plan.distinct_issues() {
+            return Err(EngineError::InvalidArgument(
+                "prefetch plan issues one load more than once".to_string(),
+            ));
         }
         let default_phase = machine.phase().to_string();
         let phases = effective_phases(schedule, &default_phase);
@@ -625,13 +635,14 @@ impl Engine {
                     dst,
                     level,
                 } => {
-                    if let Some(buf) = prefetched.remove(&(group_index, idx)) {
-                        machine.note_prefetch_delivery(group_index, idx);
-                        bufs.insert(*dst, buf);
-                        continue;
-                    }
-                    let buf = machine.load_from(*matrix, region.clone(), *level)?;
-                    bufs.insert(*dst, buf);
+                    let buf = match prefetched.remove(&(group_index, idx)) {
+                        Some(buf) => {
+                            machine.note_prefetch_delivery(group_index, idx);
+                            buf
+                        }
+                        None => machine.load_from(*matrix, region.clone(), *level)?,
+                    };
+                    Self::bind(machine, bufs, *dst, buf)?;
                 }
                 Step::Alloc {
                     matrix,
@@ -639,7 +650,7 @@ impl Engine {
                     dst,
                 } => {
                     let buf = machine.allocate_zeroed(*matrix, region.clone())?;
-                    bufs.insert(*dst, buf);
+                    Self::bind(machine, bufs, *dst, buf)?;
                 }
                 Step::Flops(flops) => machine.record_flops(*flops),
                 Step::Store { buf, level } => {
@@ -661,6 +672,25 @@ impl Engine {
         Ok(())
     }
 
+    /// Binds a freshly loaded or allocated buffer to `dst`. A schedule that
+    /// writes a `dst` still live is malformed: the displaced buffer is
+    /// released through the machine (so no lease outlives the replay) and
+    /// the step is rejected.
+    fn bind<T: Scalar, M: MachineOps<T>>(
+        machine: &mut M,
+        bufs: &mut Bufs<T>,
+        dst: BufId,
+        buf: FastBuf<T>,
+    ) -> Result<()> {
+        let Some(displaced) = bufs.insert(dst, buf) else {
+            return Ok(());
+        };
+        let _ = machine.discard(displaced);
+        Err(EngineError::InvalidSchedule(format!(
+            "step rebinds buffer {dst} while it is still live"
+        )))
+    }
+
     /// Executes `schedule` with `workers` concurrent workers sharing the
     /// slow memory `shared`, each with a private fast memory configured by
     /// `config`.
@@ -671,11 +701,11 @@ impl Engine {
     /// others). **The caller asserts that the groups are independent** —
     /// i.e. no group reads or writes a slow-memory region another group
     /// writes. The SYRK-family schedules of this workspace (square-block,
-    /// TBS, tiled TBS, GEMM and the `symla_core::parallel` partitions)
-    /// satisfy this: each group owns a disjoint block of the result and only
-    /// reads the shared input panel. The left-looking factorizations
-    /// (Cholesky, LU, TRSM) order their groups *through* slow memory and
-    /// must stay on the serial [`Engine::execute`] path.
+    /// TBS, tiled TBS and GEMM — what `symla_core`'s `RunOptions::workers`
+    /// replays here) satisfy this: each group owns a disjoint block of the
+    /// result and only reads the shared input panel. The left-looking
+    /// factorizations (Cholesky, LU, TRSM) order their groups *through*
+    /// slow memory and must stay on the serial [`Engine::execute`] path.
     ///
     /// Two semantic differences from a serial execution, both irrelevant to
     /// schedules with independent groups:
@@ -1053,6 +1083,7 @@ impl Engine {
         };
         let mut dst = bufs.remove(&dst_id).ok_or_else(|| missing(dst_id))?;
         let outcome = Self::compute_on(bufs, op, &mut dst);
+        // `dst_id` was just removed, so nothing is displaced.
         bufs.insert(dst_id, dst);
         outcome
     }
@@ -1338,7 +1369,7 @@ mod tests {
     use crate::ir::ScheduleBuilder;
     use symla_matrix::kernels::FlopCount;
     use symla_matrix::Matrix;
-    use symla_memory::{MachineConfig, MatrixId, OocMachine, Region};
+    use symla_memory::{Level, MachineConfig, MatrixId, OocMachine, Region};
 
     /// A tiny rank-1 update schedule used by the mode-equivalence tests.
     fn rank1_schedule(id: MatrixId) -> Schedule<f64> {
@@ -1450,6 +1481,93 @@ mod tests {
         assert!(matches!(err, EngineError::Memory(_)));
         assert_eq!(machine.resident(), 0);
         assert!(machine.take_dense(id).is_ok(), "no leases left behind");
+    }
+
+    /// `load b0 <- A[0..2, 0..2]; load b0 <- A[2..4, 2..4]; store b0`: the
+    /// second load rebinds a buffer that is still live.
+    fn rebinding_group(id: MatrixId) -> TaskGroup<f64> {
+        let load = |r0| Step::Load {
+            matrix: id,
+            region: Region::rect(r0, r0, 2, 2),
+            dst: 0,
+            level: Level::default(),
+        };
+        let store = Step::Store {
+            buf: 0,
+            level: Level::default(),
+        };
+        TaskGroup {
+            phase: None,
+            steps: vec![load(0), load(2), store],
+        }
+    }
+
+    #[test]
+    fn rebinding_a_live_buffer_is_rejected_and_strands_nothing() {
+        let mut machine = OocMachine::<f64>::with_capacity(100);
+        let id = machine.insert_dense(Matrix::zeros(4, 4));
+        let schedule = Schedule {
+            groups: vec![rebinding_group(id)],
+        };
+        let err = Engine::execute(&mut machine, &schedule).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidSchedule(_)), "{err}");
+        assert!(err.to_string().contains("buffer 0"), "{err}");
+        assert_eq!(machine.resident(), 0);
+        assert!(machine.take_dense(id).is_ok(), "no leases left behind");
+
+        // The same group on a parallel worker.
+        let shared = SharedSlowMemory::new();
+        let id = shared.insert_dense(Matrix::<f64>::zeros(4, 4));
+        let schedule = Schedule {
+            groups: vec![rebinding_group(id)],
+        };
+        let config = MachineConfig::with_capacity(100);
+        let err = Engine::execute_parallel(&shared, &schedule, 2, config, "main").unwrap_err();
+        assert!(
+            matches!(err.error, EngineError::InvalidSchedule(_)),
+            "{err}"
+        );
+        assert_eq!(err.group, Some(0));
+        assert!(shared.take_dense(id).is_ok(), "no leases left behind");
+    }
+
+    #[test]
+    fn a_repeated_prefetch_issue_from_bytes_is_rejected_and_strands_nothing() {
+        let mut machine = OocMachine::<f64>::with_capacity(100);
+        let id = machine.insert_dense(Matrix::zeros(4, 4));
+        let mut b = ScheduleBuilder::<f64>::new();
+        for i in 0..2 {
+            b.begin_group();
+            let x = b.load(id, Region::rect(2 * i, 2 * i, 2, 2));
+            b.store(x);
+        }
+        let schedule = b.finish();
+        let plan = PrefetchPlan::plan(&schedule, 1, Some(100));
+        assert_eq!(plan.issues_at(0).len(), 1);
+
+        // The plan-cache disk form of the plan, with its boundary-0 issue
+        // doubled.
+        let mut issues = plan.issues.clone();
+        let first = issues[0][0];
+        issues[0].push(first);
+        let doubled = PrefetchPlan::from_parts(issues, 8, 2);
+        let bytes = schedule.to_bytes_with_plan(&doubled);
+        let (decoded, decoded_plan) = Schedule::<f64>::from_bytes_with_plan(&bytes).unwrap();
+        let err =
+            Engine::execute_planned(&mut machine, &decoded, &decoded_plan.unwrap()).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidArgument(_)), "{err}");
+        assert_eq!(
+            machine.stats().volume.loads,
+            0,
+            "rejected before any replay"
+        );
+        assert_eq!(machine.resident(), 0);
+        assert!(machine.take_dense(id).is_ok(), "no leases left behind");
+
+        // An issue at its own group's boundary is rejected the same way.
+        let own = PrefetchPlan::from_parts(vec![vec![], plan.issues_at(0).to_vec()], 4, 1);
+        let err = Engine::execute_planned(&mut machine, &schedule, &own).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidArgument(_)), "{err}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   so groups are the unit of placement for multi-worker execution
 //!   ([`crate::engine::Engine::execute_parallel`] distributes independent
 //!   groups over the workers of a shared slow memory through a
-//!   work-stealing queue; `symla_core::parallel` builds its partitions on
-//!   exactly this).
+//!   work-stealing queue; a parallel `symla_core` run replays the serial
+//!   SYRK and GEMM plans this way, group for group).
 //!
 //! Buffers are named by [`BufId`]s issued by the [`ScheduleBuilder`]. A
 //! buffer is created by exactly one `Load`/`Alloc` step and consumed by

@@ -82,8 +82,8 @@ pub struct PrefetchPlan {
     /// `(group, step)` coordinates of prefetched loads (their original
     /// `Load` steps replay as handoffs). Keyed by position, not by
     /// [`BufId`]: buffer ids are only unique within one builder, and
-    /// concatenated schedules (e.g. the parallel partitions) legally reuse
-    /// them across groups.
+    /// schedules concatenated from several builders legally reuse them
+    /// across groups.
     prefetched_steps: BTreeSet<(usize, usize)>,
     /// Total elements the plan loads ahead of their group.
     pub planned_elements: u64,
@@ -235,6 +235,12 @@ impl PrefetchPlan {
     /// ahead of its group (its original position replays as a handoff).
     pub fn is_prefetched(&self, group: usize, step: usize) -> bool {
         self.prefetched_steps.contains(&(group, step))
+    }
+
+    /// Number of distinct `(group, step)` loads the plan issues; less than
+    /// the total length of the issue lists exactly when an issue repeats.
+    pub(crate) fn distinct_issues(&self) -> usize {
+        self.prefetched_steps.len()
     }
 
     /// Whether the plan prefetches nothing.

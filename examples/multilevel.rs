@@ -16,7 +16,7 @@
 
 use symla::prelude::*;
 use symla_core::engine::modelled_time;
-use symla_core::parallel::{parallel_syrk_sharded, BlockStrategy};
+use symla_core::parallel::parallel_syrk_sharded;
 use symla_memory::{Level, MachineModel, TieredMachine};
 
 fn main() {
@@ -96,14 +96,14 @@ fn main() {
     println!("sharded parallel SYRK, N = {n}, M = {m}, S/node = {s}, nodes = {nodes}");
     println!("(C on shard 0 = every node's home, A on shard 1: cross = A traffic)");
     let mut cross = Vec::new();
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+    for strategy in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
         let mut c = SymMatrix::<f64>::zeros(n);
         let report =
             parallel_syrk_sharded(&a, &mut c, 1.0, nodes, s, strategy).expect("sharded run");
         assert!(c.approx_eq(&reference, 1e-9), "result must match reference");
         println!();
         println!(
-            "strategy: {:<15} total cross-shard {:>8}  bottleneck node {:>8}",
+            "schedule: {:<9} total cross-shard {:>8}  bottleneck node {:>8}",
             strategy.name(),
             report.total_cross(),
             report.max_cross()

@@ -1,27 +1,25 @@
 //! Real multi-worker SYRK on a shared slow memory: observed vs analytic
-//! per-worker I/O for both distribution strategies at P = 4 (the executable
-//! version of experiment E12, now with every transfer actually performed).
+//! per-worker I/O for the square-block and TBS schedules at P = 4 (the
+//! executable version of experiment E12, with every transfer actually
+//! performed).
 //!
 //! ```text
 //! cargo run --release --example parallel_workers
 //! ```
 //!
-//! Every run registers `A` and `C` in a `SharedSlowMemory`, distributes the
-//! partition's task groups over P capacity-checked workers through the
-//! engine's work-stealing queue, and compares each worker's *measured*
-//! [`WorkerIo`] against the dry-run prediction for the groups it processed.
+//! `RunOptions::workers(P)` registers `A` and `C` in a `SharedSlowMemory`
+//! and deals the schedule's task groups over P capacity-checked workers
+//! through the engine's work-stealing queue. Each worker's *measured*
+//! `IoStats` is compared against the dry run of exactly the groups it
+//! processed.
 
 use symla::prelude::*;
-use symla_core::parallel::{
-    analytic_worker_io, parallel_syrk, partition_schedule, BlockStrategy, WorkerIo,
-};
-use symla_memory::SharedSlowMemory;
 use symla_sched::WorkerRun;
 
 fn main() {
     let n = 240;
     let m = 32;
-    let s = 15; // per-worker fast memory (k = 5 for triangle blocks)
+    let s = 15; // per-worker fast memory (k = 5 for TBS)
     let workers = 4;
     let a = generate::random_matrix_seeded::<f64>(n, m, 7);
 
@@ -31,79 +29,71 @@ fn main() {
     println!("Parallel SYRK, N = {n}, M = {m}, S/worker = {s}, P = {workers}");
     println!("(all transfers executed against one shared slow memory)");
 
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+    let service = PlanService::<f64>::in_memory();
+    for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
         let mut c = SymMatrix::<f64>::zeros(n);
-        let report =
-            parallel_syrk(&a, &mut c, 1.0, workers, s, strategy).expect("parallel execution");
+        let options = RunOptions::new().workers(workers).cached(&service);
+        let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, algorithm, &options)
+            .expect("parallel execution");
         assert!(c.approx_eq(&reference, 1e-9), "result must match reference");
 
+        // The plan the workers replayed, for the per-worker oracle.
+        let job = Job::Syrk {
+            algorithm,
+            n,
+            m,
+            alpha: 1.0,
+            s,
+        };
+        let plan = service.plan(&job, &options).expect("cached plan").plan;
+        let schedule = plan.schedule();
+        let merged = WorkerRun::merged_stats(&run.workers);
+        assert_eq!(merged, Engine::dry_run(schedule, "main"));
+
+        let loads: Vec<u64> = run.workers.iter().map(|w| w.stats.volume.loads).collect();
+        let max = loads.iter().copied().max().unwrap_or(0);
+        let mean = merged.volume.loads as f64 / workers as f64;
         println!();
         println!(
-            "strategy: {:<15} total loads {:>8}  max/worker {:>8}  imbalance {:.3}",
-            strategy.name(),
-            report.total_loads(),
-            report.max_loads(),
-            report.imbalance()
+            "schedule: {:<9} total loads {:>8}  max/worker {:>8}  imbalance {:.3}",
+            algorithm.name(),
+            merged.volume.loads,
+            max,
+            max as f64 / mean
         );
         println!(
-            "  {:>6} | {:>10} {:>10} {:>7} | observed = analytic?",
-            "worker", "loads", "stores", "tasks"
+            "  {:>6} | {:>10} {:>10} {:>7} {:>5} | observed = analytic?",
+            "worker", "loads", "stores", "groups", "peak"
         );
-        for (w, io) in report.per_worker.iter().enumerate() {
-            // parallel_syrk already asserts this internally; recompute it
-            // here to show the oracle at work.
+        for (w, worker) in run.workers.iter().enumerate() {
+            // Each worker's stats equal the dry run of the groups it ran.
+            let picked = Schedule {
+                groups: worker
+                    .groups
+                    .iter()
+                    .map(|&g| schedule.groups[g].clone())
+                    .collect(),
+            };
+            assert_eq!(worker.stats, Engine::dry_run(&picked, "main"));
             println!(
-                "  {:>6} | {:>10} {:>10} {:>7} | yes (dry-run of its {} groups)",
-                w, io.loads, io.stores, io.tasks, io.tasks
+                "  {:>6} | {:>10} {:>10} {:>7} {:>5} | yes (dry run of its {} groups)",
+                w,
+                worker.stats.volume.loads,
+                worker.stats.volume.stores,
+                worker.groups.len(),
+                worker.stats.peak_resident,
+                worker.groups.len()
             );
         }
-    }
-
-    // The same machinery, driven directly: execute a partition schedule in
-    // parallel through the engine and audit each worker by hand.
-    println!();
-    println!("direct engine drive (triangle blocks, P = {workers}):");
-    let schedule = partition_schedule::<f64>(n, m, s, BlockStrategy::TriangleBlocks)
-        .expect("partition schedule");
-    let shared = SharedSlowMemory::new();
-    shared.insert_symmetric(SymMatrix::<f64>::zeros(n)); // id 0 = C
-    shared.insert_dense(a.clone()); // id 1 = A
-    let runs = symla_sched::Engine::execute_parallel(
-        &shared,
-        &schedule,
-        workers,
-        MachineConfig::with_capacity(s),
-        "parallel",
-    )
-    .expect("parallel run");
-    let merged = WorkerRun::merged_stats(&runs);
-    let dry = symla_sched::Engine::dry_run(&schedule, "parallel");
-    assert_eq!(
-        merged, dry,
-        "summed worker stats must equal the serial dry run"
-    );
-    for (w, run) in runs.iter().enumerate() {
-        let observed = WorkerIo {
-            loads: run.stats.volume.loads,
-            stores: run.stats.volume.stores,
-            tasks: run.groups.len(),
-        };
-        assert_eq!(observed, analytic_worker_io(&schedule, &run.groups));
         println!(
-            "  worker {w}: {} groups, {} loads, peak resident {} <= {s}",
-            run.groups.len(),
-            run.stats.volume.loads,
-            run.stats.peak_resident
+            "  merged: {} loads / {} stores == serial dry run of {} groups",
+            merged.volume.loads,
+            merged.volume.stores,
+            schedule.num_groups()
         );
     }
-    println!(
-        "  merged: {} loads / {} stores == serial dry run of {} groups",
-        merged.volume.loads,
-        merged.volume.stores,
-        schedule.num_groups()
-    );
 
     println!();
-    println!("Triangle blocks move ~1/sqrt(2) of the square-tile input volume per worker —");
+    println!("TBS triangle blocks move ~1/sqrt(2) of the square-block input volume per worker —");
     println!("the paper's sequential headline, preserved under parallel distribution.");
 }

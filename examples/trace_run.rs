@@ -19,7 +19,6 @@
 //! `ab_obs --smoke`).
 
 use symla::prelude::*;
-use symla_core::parallel::{parallel_syrk_traced, BlockStrategy};
 
 fn main() {
     let model = MachineModel::nvme();
@@ -69,19 +68,12 @@ fn main() {
     let pa = generate::random_matrix_seeded::<f64>(pn, pm, 12);
     let mut pc = SymMatrix::<f64>::zeros(pn);
     let precorder = TraceRecorder::new();
-    let report = parallel_syrk_traced(
-        &pa,
-        &mut pc,
-        1.0,
-        workers,
-        ps,
-        BlockStrategy::TriangleBlocks,
-        lookahead,
-        &model,
-        &precorder,
-    )
-    .unwrap();
-    let ptrace = precorder.finish();
+    let options = RunOptions::new()
+        .lookahead(lookahead)
+        .workers(workers)
+        .traced(&model, &precorder);
+    let prun = syrk_out_of_core_with(&pa, &mut pc, 1.0, ps, SyrkAlgorithm::Tbs, &options).unwrap();
+    let ptrace = prun.trace.expect("a traced run returns its trace");
     let pexport = ptrace.to_chrome_trace(&[TimeBase::Measured]);
     let parallel_path = out_dir.join("trace_parallel.json");
     std::fs::write(&parallel_path, &pexport).unwrap();
@@ -89,15 +81,17 @@ fn main() {
     let issues = ptrace.count(|k| matches!(k, EventKind::PrefetchIssue { .. }));
     let steals = ptrace.count(|k| matches!(k, EventKind::Claim { stolen: true, .. }));
     println!(
-        "parallel TriangleBlocks N={pn} M={pm} S={ps} P={workers} L={lookahead}: \
+        "parallel TBS N={pn} M={pm} S={ps} P={workers} L={lookahead}: \
          {} events on {} worker tracks, {issues} prefetch arrows, {steals} steals",
         ptrace.len(),
         ptrace.workers(),
     );
-    for (w, io) in report.per_worker.iter().enumerate() {
+    for (w, worker) in prun.workers.iter().enumerate() {
         println!(
             "        worker {w}: {} groups, {} loads, {} stores",
-            io.tasks, io.loads, io.stores
+            worker.groups.len(),
+            worker.stats.volume.loads,
+            worker.stats.volume.stores
         );
     }
     println!(

@@ -211,7 +211,6 @@ fn tbs_and_square_blocks_load_each_c_entry_exactly_once() {
 
 #[test]
 fn parallel_extension_matches_sequential_result() {
-    use symla_core::parallel::{parallel_syrk, BlockStrategy};
     let n = 90;
     let m = 12;
     let a = generate::random_matrix_seeded::<f64>(n, m, 66);
@@ -219,8 +218,10 @@ fn parallel_extension_matches_sequential_result() {
     kernels::syrk_sym(1.0, &a, 1.0, &mut expected).unwrap();
 
     let mut c = SymMatrix::<f64>::zeros(n);
-    let report = parallel_syrk(&a, &mut c, 1.0, 4, 15, BlockStrategy::TriangleBlocks).unwrap();
+    let options = RunOptions::new().workers(4);
+    let run = syrk_out_of_core_with(&a, &mut c, 1.0, 15, SyrkAlgorithm::Tbs, &options).unwrap();
     assert!(c.approx_eq(&expected, 1e-10));
-    assert_eq!(report.workers, 4);
-    assert!(report.total_loads() > 0);
+    assert_eq!(run.workers.len(), 4);
+    assert!(run.report.measured_loads() > 0);
+    assert!(run.report.prediction_matches());
 }

@@ -25,7 +25,6 @@ use symla_baselines::{
     ooc_lu_schedule, ooc_syrk_cost, ooc_syrk_schedule, ooc_trsm_cost, ooc_trsm_schedule,
 };
 use symla_core::engine::{Engine, Schedule, WorkerRun};
-use symla_core::parallel::{analytic_worker_io, partition_schedule, BlockStrategy, WorkerIo};
 use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_memory::{MachineConfig, SharedSlowMemory};
 
@@ -325,14 +324,16 @@ fn check_parallel_matches_serial(
         // Each worker's observed I/O equals the analytic per-worker model:
         // the dry run of exactly the groups it processed.
         for (w, run) in runs.iter().enumerate() {
-            let observed = WorkerIo {
-                loads: run.stats.volume.loads,
-                stores: run.stats.volume.stores,
-                tasks: run.groups.len(),
+            let picked = Schedule {
+                groups: run
+                    .groups
+                    .iter()
+                    .map(|&g| schedule.groups[g].clone())
+                    .collect(),
             };
             assert_eq!(
-                observed,
-                analytic_worker_io(schedule, &run.groups),
+                run.stats,
+                Engine::dry_run(&picked, "main"),
                 "{ctx} P={workers}: worker {w} observed vs analytic"
             );
         }
@@ -405,18 +406,6 @@ fn parallel_execution_matches_serial_for_all_grouped_schedules() {
         gs,
         &[Operand::Dense(ga), Operand::Dense(gbm), Operand::Dense(gc)],
     );
-
-    // The parallel-SYRK partition schedules (C first, then A).
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
-        let schedule = partition_schedule::<f64>(n, m, s, strategy).unwrap();
-        assert!(schedule.num_groups() > 1);
-        check_parallel_matches_serial(
-            strategy.name(),
-            &schedule,
-            s,
-            &[Operand::Sym(c0.clone()), Operand::Dense(a.clone())],
-        );
-    }
 }
 
 #[test]

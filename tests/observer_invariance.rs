@@ -28,7 +28,6 @@ use symla::prelude::*;
 use symla_baselines::{
     ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
 };
-use symla_core::parallel::{parallel_syrk_prefetched, parallel_syrk_traced, BlockStrategy};
 
 /// One sweep case: a schedule, the capacity it was planned for and its
 /// operands (insertion order = synthetic ids).
@@ -257,39 +256,33 @@ fn observation_changes_nothing_for_every_builder() {
 #[test]
 fn parallel_observation_changes_nothing() {
     // Deviation from the serial sweep: the parallel engine executes only
-    // independent-group schedules, i.e. the SYRK partition schedules — the
+    // independent-group schedules, i.e. the SYRK (and GEMM) plans — the
     // factorizations have no parallel mode to observe.
     let (n, m, s) = (40, 8, 12);
     let a = generate::random_matrix_seeded::<f64>(n, m, 930);
     let model = MachineModel::nvme();
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+    for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
         for lookahead in [0usize, 2] {
-            let ctx = format!("{} L={lookahead}", strategy.name());
+            let ctx = format!("{} L={lookahead}", algorithm.name());
+            let plain = RunOptions::new().workers(3).lookahead(lookahead);
             let mut plain_c = SymMatrix::zeros(n);
-            let plain =
-                parallel_syrk_prefetched(&a, &mut plain_c, 1.0, 3, s, strategy, lookahead).unwrap();
+            let plain_run =
+                syrk_out_of_core_with(&a, &mut plain_c, 1.0, s, algorithm, &plain).unwrap();
 
             let recorder = TraceRecorder::new();
+            let traced = plain.clone().traced(&model, &recorder);
             let mut traced_c = SymMatrix::zeros(n);
-            let traced = parallel_syrk_traced(
-                &a,
-                &mut traced_c,
-                1.0,
-                3,
-                s,
-                strategy,
-                lookahead,
-                &model,
-                &recorder,
-            )
-            .unwrap();
-            let trace = recorder.finish();
+            let traced_run =
+                syrk_out_of_core_with(&a, &mut traced_c, 1.0, s, algorithm, &traced).unwrap();
+            let trace = traced_run.trace.expect("a traced run returns its trace");
 
             assert!(traced_c == plain_c, "{ctx}: traced result drifted");
             // Which worker got which group is dynamic, but the volumes are
             // placement-independent.
-            assert_eq!(traced.total_loads(), plain.total_loads(), "{ctx}");
-            assert_eq!(traced.total_stores(), plain.total_stores(), "{ctx}");
+            assert_eq!(
+                traced_run.report.stats.volume, plain_run.report.stats.volume,
+                "{ctx}"
+            );
             assert!(!trace.is_empty(), "{ctx}: no events recorded");
             // Every claimed group opened and closed its span.
             let claims = trace.count(|k| matches!(k, EventKind::Claim { .. }));

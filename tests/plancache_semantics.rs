@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use symla::prelude::*;
-use symla_core::parallel::BlockStrategy;
 use symla_core::service::PlanService;
 use symla_plancache::PlanSource;
 
@@ -209,26 +208,33 @@ fn disk_tier_survives_cache_drop_across_kernels() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// One cached parallel partition schedule replays across worker counts with
-/// results identical to the direct parallel API.
+/// One cached plan replays across worker counts — the serial lookahead-0
+/// run included — with results identical to the direct parallel run.
 #[test]
 fn cached_parallel_partition_replays_across_worker_counts() {
     let (n, m, s) = (48usize, 6usize, 10usize);
     let a = symla::matrix::generate::random_matrix_seeded::<f64>(n, m, 76);
     let service = PlanService::<f64>::in_memory();
+    let square = SyrkAlgorithm::SquareBlocks;
 
     let mut reference = SymMatrix::zeros(n);
-    symla_core::parallel::parallel_syrk(&a, &mut reference, 1.0, 2, s, BlockStrategy::SquareTiles)
-        .unwrap();
+    let direct = RunOptions::new().workers(2);
+    syrk_out_of_core_with(&a, &mut reference, 1.0, s, square, &direct).unwrap();
 
-    for (workers, want) in [(2usize, PlanSource::Compiled), (4, PlanSource::Memory)] {
+    for (workers, want) in [
+        (2usize, PlanSource::Compiled),
+        (4, PlanSource::Memory),
+        (1, PlanSource::Memory),
+    ] {
         let mut c = SymMatrix::zeros(n);
-        let run = service
-            .syrk_parallel(&a, &mut c, 1.0, workers, s, BlockStrategy::SquareTiles, 1)
-            .unwrap();
-        assert_eq!(run.source, want, "P={workers}");
+        let options = RunOptions::new()
+            .workers(workers)
+            .lookahead(usize::from(workers > 1))
+            .cached(&service);
+        let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, square, &options).unwrap();
+        assert_eq!(source(&run), want, "P={workers}");
         assert!(c == reference, "P={workers}: bitwise identity");
-        assert_eq!(run.report.workers, workers);
+        assert_eq!(run.workers.len(), if workers > 1 { workers } else { 0 });
     }
     assert_eq!(service.stats().compiles, 1);
 }
