@@ -45,8 +45,8 @@ pub use ooc_lu::{
     ooc_lu_build, ooc_lu_cost, ooc_lu_execute, ooc_lu_leading_loads, ooc_lu_schedule, OocLuPlan,
 };
 pub use ooc_syrk::{
-    ooc_syrk_build, ooc_syrk_cost, ooc_syrk_execute, ooc_syrk_leading_loads, ooc_syrk_schedule,
-    OocSyrkPlan,
+    ooc_syrk_build, ooc_syrk_cost, ooc_syrk_execute, ooc_syrk_leading_loads, ooc_syrk_rect_build,
+    ooc_syrk_rect_cost, ooc_syrk_schedule, OocSyrkPlan,
 };
 pub use ooc_trsm::{
     ooc_trsm_build, ooc_trsm_cost, ooc_trsm_execute, ooc_trsm_leading_loads, ooc_trsm_schedule,

@@ -66,15 +66,23 @@ pub fn ooc_syrk_cost(n: usize, m: usize, plan: &OocSyrkPlan) -> IoEstimate {
                 let pairs = (m * ic * (ic + 1) / 2) as u128;
                 est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
             } else {
-                let c_elems = (ic * jc) as u128;
-                est.loads += c_elems + (m * (ic + jc)) as u128;
-                est.stores += c_elems;
-                let pairs = (m * ic * jc) as u128;
-                est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
+                est = est.merge(&ooc_syrk_rect_cost(ic, jc, m));
             }
         }
     }
     est
+}
+
+/// Predicted I/O of [`ooc_syrk_rect_build`] for an `ic × jc` block and an
+/// input panel with `m` columns.
+pub fn ooc_syrk_rect_cost(ic: usize, jc: usize, m: usize) -> IoEstimate {
+    let c_elems = (ic * jc) as u128;
+    let pairs = (m * ic * jc) as u128;
+    IoEstimate {
+        loads: c_elems + (m * (ic + jc)) as u128,
+        stores: c_elems,
+        flops: FlopCount::new(pairs, pairs),
+    }
 }
 
 /// The paper's closed-form leading-order cost of `OOC_SYRK`:
@@ -101,9 +109,9 @@ pub fn ooc_syrk_build<T: Scalar>(
 
     for (tj, &(j0, jc)) in extents.iter().enumerate() {
         for (ti, &(i0, ic)) in extents.iter().enumerate().skip(tj) {
-            sched.begin_group();
             if ti == tj {
                 // Diagonal block: packed lower triangle of side ic.
+                sched.begin_group();
                 let cbuf = sched.load(c.id, c.lower_triangle_region(i0, ic));
                 for k in 0..m {
                     let acol = sched.load(a.id, a.col_segment_region(k, i0, ic));
@@ -118,27 +126,42 @@ pub fn ooc_syrk_build<T: Scalar>(
                 sched.flops(FlopCount::new(pairs, pairs));
                 sched.store(cbuf);
             } else {
-                // Off-diagonal block: ic x jc rectangle strictly below the
-                // diagonal of the window.
-                let cbuf = sched.load(c.id, c.rect_region(i0, j0, ic, jc));
-                for k in 0..m {
-                    let arow = sched.load(a.id, a.col_segment_region(k, i0, ic));
-                    let acol = sched.load(a.id, a.col_segment_region(k, j0, jc));
-                    sched.compute(ComputeOp::Ger {
-                        alpha,
-                        x: BufSlice::whole(arow, ic),
-                        y: BufSlice::whole(acol, jc),
-                        dst: cbuf,
-                    });
-                    sched.discard(arow);
-                    sched.discard(acol);
-                }
-                let pairs = (m * ic * jc) as u128;
-                sched.flops(FlopCount::new(pairs, pairs));
-                sched.store(cbuf);
+                ooc_syrk_rect_build(sched, a, c, (i0, ic), (j0, jc), alpha);
             }
         }
     }
+}
+
+/// Appends the task group of one off-diagonal block: the `ic × jc`
+/// rectangle `C[i0.., j0..]` strictly below the diagonal of the window,
+/// updated by `alpha · A[i0..i0+ic, :] · A[j0..j0+jc, :]ᵀ` one column of `A`
+/// at a time (TBS reuses it for the strip below its triangle blocks).
+pub fn ooc_syrk_rect_build<T: Scalar>(
+    sched: &mut ScheduleBuilder<T>,
+    a: &PanelRef,
+    c: &SymWindowRef,
+    (i0, ic): (usize, usize),
+    (j0, jc): (usize, usize),
+    alpha: T,
+) {
+    let m = a.cols();
+    sched.begin_group();
+    let cbuf = sched.load(c.id, c.rect_region(i0, j0, ic, jc));
+    for k in 0..m {
+        let arow = sched.load(a.id, a.col_segment_region(k, i0, ic));
+        let acol = sched.load(a.id, a.col_segment_region(k, j0, jc));
+        sched.compute(ComputeOp::Ger {
+            alpha,
+            x: BufSlice::whole(arow, ic),
+            y: BufSlice::whole(acol, jc),
+            dst: cbuf,
+        });
+        sched.discard(arow);
+        sched.discard(acol);
+    }
+    let pairs = (m * ic * jc) as u128;
+    sched.flops(FlopCount::new(pairs, pairs));
+    sched.store(cbuf);
 }
 
 /// Builds the square-block OOC_SYRK schedule for

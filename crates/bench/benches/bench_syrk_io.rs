@@ -5,7 +5,7 @@
 use symla_baselines::{ooc_syrk_cost, ooc_syrk_execute, OocSyrkPlan};
 use symla_bench::harness::{BenchmarkId, Criterion};
 use symla_bench::{criterion_group, criterion_main};
-use symla_core::{tbs_cost, tbs_execute, tbs_tiled_execute, TbsPlan, TbsTiledPlan};
+use symla_core::{tbs_cost, tbs_execute, TbsPlan};
 use symla_matrix::generate;
 use symla_matrix::{Matrix, SymMatrix};
 use symla_memory::{OocMachine, PanelRef, SymWindowRef};
@@ -45,11 +45,11 @@ fn run_tbs(a: &Matrix<f64>, n: usize, m: usize) -> u64 {
 }
 
 fn run_tiled(a: &Matrix<f64>, n: usize, m: usize) -> u64 {
-    let plan = TbsTiledPlan::for_problem(S, n).unwrap();
+    let plan = TbsPlan::for_problem(S, n).unwrap();
     let mut machine = OocMachine::with_capacity(S);
     let a_id = machine.insert_dense(a.clone());
     let c_id = machine.insert_symmetric(SymMatrix::zeros(n));
-    tbs_tiled_execute(
+    tbs_execute(
         &mut machine,
         &PanelRef::dense(a_id, n, m),
         &SymWindowRef::full(c_id, n),

@@ -26,8 +26,8 @@ use symla_baselines::{
 };
 use symla_core::engine::{Engine, Schedule};
 use symla_core::passes::{Optimized, PassPipeline};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
+use symla_core::plan::{LbcPlan, TbsPlan};
+use symla_core::{lbc_schedule, tbs_schedule};
 use symla_matrix::generate::{
     random_lower_triangular, random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
@@ -79,15 +79,10 @@ fn syrk_case(algorithm: &str, n: usize, m: usize, s: usize) -> Case {
     let c: SymMatrix<f64> = random_symmetric(n, &mut rng);
     let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
+    let tbs = |plan: TbsPlan| tbs_schedule(&a_ref, &c_ref, 1.0, &plan).unwrap();
     let schedule = match algorithm {
-        "tbs" => tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-        "tbs_tiled" => tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
+        "tbs" => tbs(TbsPlan::for_memory(s).unwrap()),
+        "tbs_tiled" => tbs(TbsPlan::for_problem(s, n).unwrap()),
         "ooc_syrk" => {
             ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap()).unwrap()
         }

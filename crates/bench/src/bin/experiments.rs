@@ -1,6 +1,6 @@
 //! Experiment driver: regenerates every quantitative table of the paper
-//! reproduction (see `DESIGN.md` for the experiment ↔ paper mapping and
-//! `EXPERIMENTS.md` for a recorded reference run).
+//! reproduction (the doc comment of each `eN_*` function in the
+//! `symla_bench` library says which part of the paper it covers).
 //!
 //! Usage:
 //!

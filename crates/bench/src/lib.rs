@@ -1,10 +1,10 @@
 //! Experiment harness of the `symla` workspace.
 //!
 //! Every quantitative claim of the SPAA'22 paper is regenerated by one of the
-//! experiment functions below (see `DESIGN.md` for the experiment ↔ paper
-//! mapping). Each function returns one or more [`Table`]s; the
-//! `experiments` binary prints them, and `EXPERIMENTS.md` records a reference
-//! run.
+//! experiment functions below, whose doc comments say which part of the
+//! paper each one covers. Each function returns one or more [`Table`]s; the
+//! `experiments` binary prints them, and CI runs it for every experiment
+//! id.
 //!
 //! Two measurement modes are used and clearly labelled:
 //!
@@ -32,8 +32,7 @@ use symla_core::api::{
 };
 use symla_core::bounds::{self, LbcTermBreakdown};
 use symla_core::{
-    lbc_cost, lbc_cost_breakdown, tbs_cost, tbs_decomposition, tbs_tiled_cost, LbcPlan, TbsPlan,
-    TbsTiledPlan, TrailingUpdate,
+    lbc_cost, lbc_cost_breakdown, tbs_cost, tbs_decomposition, LbcPlan, TbsPlan, TrailingUpdate,
 };
 use symla_matrix::generate;
 use symla_matrix::SymMatrix;
@@ -248,8 +247,8 @@ pub fn e2_syrk_io() -> Table {
     // schedule and pays the sqrt(4/3) overhead of Section 5.1.4, which is
     // exactly the band the table is meant to show. (The automatic planner
     // would pick k = 8, b = 1 — i.e. the element-level schedule — at this S.)
-    let tiled_b = TbsTiledPlan::max_tile_for(4, s).expect("tile");
-    let tiled_plan = TbsTiledPlan::with_params(4, tiled_b).expect("plan");
+    let tiled_b = TbsPlan::max_tile_for(4, s).expect("tile");
+    let tiled_plan = TbsPlan::with_params(4, tiled_b).expect("plan");
 
     for &n in &[96_usize, 192, 256, 512, 1024, 2048, 4096, 8192] {
         let m = n / 4;
@@ -269,7 +268,7 @@ pub fn e2_syrk_io() -> Table {
                 let mut machine = symla_memory::OocMachine::<f64>::with_capacity(s);
                 let a_id = machine.insert_dense(a_m);
                 let c_id = machine.insert_symmetric(SymMatrix::zeros(n));
-                symla_core::tbs_tiled_execute(
+                symla_core::tbs_execute(
                     &mut machine,
                     &symla_memory::PanelRef::dense(a_id, n, m),
                     &symla_memory::SymWindowRef::full(c_id, n),
@@ -283,7 +282,7 @@ pub fn e2_syrk_io() -> Table {
         } else {
             (
                 ooc_syrk_cost(n, m, &sq_plan).loads,
-                tbs_tiled_cost(n, m, &tiled_plan).expect("cost").loads,
+                tbs_cost(n, m, &tiled_plan).expect("cost").loads,
                 tbs_cost(n, m, &tbs_plan).expect("cost").loads,
             )
         };
@@ -489,22 +488,17 @@ pub fn e6_tiled_tradeoff() -> Table {
     );
     let element = TbsPlan::for_memory(s).expect("plan");
     for k in [2_usize, 3, 4, 6, 8, 12, 24, 48, 96] {
-        let Some(b) = TbsTiledPlan::max_tile_for(k, s) else {
+        let Some(b) = TbsPlan::max_tile_for(k, s) else {
             continue;
         };
-        let plan = TbsTiledPlan::with_params(k, b).expect("plan");
-        // smallest N at which the tiled triangle phase engages
-        let mut min_n = k * b * (k.saturating_sub(1)).max(1);
-        while !plan.applicable(min_n) {
-            min_n += k * b;
-        }
+        let plan = TbsPlan::with_params(k, b).expect("plan");
         table.push_row(vec![
             k.to_string(),
             b.to_string(),
             plan.working_set().to_string(),
             ((k - 1) * b).to_string(),
             fmt_ratio((k as f64 / (k as f64 - 1.0)).sqrt()),
-            min_n.to_string(),
+            plan.min_applicable_n().to_string(),
             element.min_applicable_n().to_string(),
         ]);
     }
@@ -722,6 +716,7 @@ pub fn e12_parallel() -> Table {
     }
     table.push_note("the triangle-block distribution moves ~1/sqrt(2) of the input volume of the square-tile distribution (paper's future-work direction)");
     table.push_note("volumes are measured on executing workers (shared slow memory, private capacity-checked fast memories), not dry-run estimates");
+    table.push_note("the max per-worker and imbalance columns depend on which worker steals which group, so they vary from run to run; the total does not");
     table
 }
 

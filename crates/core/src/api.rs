@@ -29,10 +29,9 @@ use crate::bounds;
 use crate::engine::{Engine, Schedule};
 use crate::lbc::{lbc_cost, lbc_schedule};
 use crate::passes::{PassPipeline, StageOutcome};
-use crate::plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
+use crate::plan::{LbcPlan, TbsPlan, TrailingUpdate};
 use crate::service::PlanService;
 use crate::tbs::{tbs_cost, tbs_schedule};
-use crate::tbs_tiled::{tbs_tiled_cost, tbs_tiled_schedule};
 use std::fmt;
 use symla_baselines::error::{OocError, Result};
 use symla_baselines::params::IoEstimate;
@@ -54,9 +53,12 @@ use symla_sched::{EngineConfig, PrefetchPlan, WorkerRun};
 /// Out-of-core SYRK schedules exposed by the high-level API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyrkAlgorithm {
-    /// The paper's element-level TBS (Algorithm 4).
+    /// The paper's element-level TBS (Algorithm 4): [`TbsPlan::for_memory`],
+    /// `b = 1`.
     Tbs,
-    /// The paper's tiled TBS (Section 5.1.4).
+    /// The paper's tiled TBS (Section 5.1.4): the same builder as
+    /// [`SyrkAlgorithm::Tbs`], with `(k, b)` from [`TbsPlan::for_problem`].
+    /// A choice that lands on `b = 1` emits the element schedule.
     TbsTiled,
     /// Béreux's square-block baseline.
     SquareBlocks,
@@ -79,7 +81,9 @@ pub enum CholeskyAlgorithm {
     /// The paper's Large Block Cholesky with element-level TBS trailing
     /// updates.
     Lbc,
-    /// LBC with tiled-TBS trailing updates.
+    /// LBC with tiled-TBS trailing updates: the same builder as
+    /// [`CholeskyAlgorithm::Lbc`], with each trailing update's `(k, b)` from
+    /// [`TbsPlan::for_problem`] (see [`TrailingUpdate::TbsTiled`]).
     LbcTiled,
     /// LBC with square-block trailing updates (right-looking ablation).
     LbcSquare,
@@ -680,32 +684,10 @@ impl<T: Scalar> Job<T> {
             } => {
                 let (a, c) = (PanelRef::dense(x, n, m), SymWindowRef::full(y, n));
                 match algorithm {
-                    SyrkAlgorithm::Tbs => {
-                        let plan = match tile {
-                            None => TbsPlan::for_memory(s)?,
-                            Some(k) => {
-                                fits(format!("TBS k = {k}"), TbsPlan::with_k(k)?.working_set(), s)?;
-                                TbsPlan { k, capacity: s }
-                            }
-                        };
+                    SyrkAlgorithm::Tbs | SyrkAlgorithm::TbsTiled => {
+                        let plan = tbs_plan(algorithm, n, s, tile)?;
                         let schedule = emit.then(|| tbs_schedule(&a, &c, alpha, &plan));
                         (tbs_cost(n, m, &plan)?, schedule.transpose()?)
-                    }
-                    SyrkAlgorithm::TbsTiled => {
-                        let plan = match tile {
-                            None => TbsTiledPlan::for_problem(s, n)?,
-                            Some(k) => TbsTiledPlan {
-                                k,
-                                b: TbsTiledPlan::max_tile_for(k, s).ok_or_else(|| {
-                                    OocError::Invalid(format!(
-                                        "no tiled-TBS tile fits k = {k} in capacity {s}"
-                                    ))
-                                })?,
-                                capacity: s,
-                            },
-                        };
-                        let schedule = emit.then(|| tbs_tiled_schedule(&a, &c, alpha, &plan));
-                        (tbs_tiled_cost(n, m, &plan)?, schedule.transpose()?)
                     }
                     SyrkAlgorithm::SquareBlocks => {
                         let plan = match tile {
@@ -1302,23 +1284,39 @@ fn square_tiles(s: usize) -> Vec<Option<usize>> {
 /// (`None`, [`PassPipeline::standard`], lookahead 0) point, so the tuned
 /// winner is never worse than the standard optimized run in modelled time.
 pub fn syrk_tuning_space(n: usize, s: usize, algorithm: SyrkAlgorithm) -> TuningSpace {
+    if algorithm == SyrkAlgorithm::SquareBlocks {
+        return default_space(square_tiles(s), s);
+    }
     let mut tiles = vec![None];
-    match algorithm {
-        SyrkAlgorithm::Tbs => {
-            if let Ok(plan) = TbsPlan::for_memory(s) {
-                push_tile(&mut tiles, Some(plan.k.saturating_sub(1).max(2)));
-                push_tile(&mut tiles, Some((plan.k / 2).max(2)));
-            }
+    if let Ok(TbsPlan { k, .. }) = tbs_plan(algorithm, n, s, None) {
+        let neighbours = match algorithm {
+            SyrkAlgorithm::TbsTiled => [k + 1, k.saturating_sub(1).max(2)],
+            _ => [k.saturating_sub(1).max(2), (k / 2).max(2)],
+        };
+        for k in neighbours {
+            push_tile(&mut tiles, Some(k));
         }
-        SyrkAlgorithm::TbsTiled => {
-            if let Ok(plan) = TbsTiledPlan::for_problem(s, n) {
-                push_tile(&mut tiles, Some(plan.k + 1));
-                push_tile(&mut tiles, Some(plan.k.saturating_sub(1).max(2)));
-            }
-        }
-        SyrkAlgorithm::SquareBlocks => tiles = square_tiles(s),
     }
     default_space(tiles, s)
+}
+
+/// The [`TbsPlan`] of a TBS-variant SYRK job of order `n` under capacity
+/// `s`: the variant's planner default, or the tuner's `k` with the largest
+/// tile that fits for tiled TBS (`b = 1` for element TBS). A `k` that does
+/// not fit the capacity is an error.
+fn tbs_plan(algorithm: SyrkAlgorithm, n: usize, s: usize, k: Option<usize>) -> Result<TbsPlan> {
+    let tiled = algorithm == SyrkAlgorithm::TbsTiled;
+    match k {
+        None if tiled => TbsPlan::for_problem(s, n),
+        None => TbsPlan::for_memory(s),
+        Some(k) => {
+            let b = TbsPlan::max_tile_for(k, s).ok_or_else(|| {
+                OocError::Invalid(format!("no TBS tile fits k = {k} in capacity {s}"))
+            })?;
+            let b = if tiled { b } else { 1 };
+            Ok(TbsPlan { k, b, capacity: s })
+        }
+    }
 }
 
 /// The default [`TuningSpace`] of a Cholesky instance; see

@@ -1,8 +1,8 @@
 //! The schedule-IR execution engine, re-exported at the workspace's
 //! top level.
 //!
-//! All eight out-of-core algorithms of this workspace — [`crate::tbs`],
-//! [`crate::tbs_tiled`], [`crate::lbc`] and the five baselines of
+//! All seven out-of-core algorithms of this workspace — [`crate::tbs`]
+//! (element and tiled TBS), [`crate::lbc`] and the five baselines of
 //! `symla_baselines` — are *schedule builders*: they emit the IR of
 //! [`symla_sched::ir`] instead of driving the machine directly. The
 //! [`Engine`] replays a built [`Schedule`] through one replay loop; the

@@ -18,9 +18,8 @@
 //! `lbc:trsm`, `lbc:trailing`), which is how the experiments reproduce the
 //! term-by-term analysis of Section 5.2.2 (Figure 3).
 
-use crate::plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
+use crate::plan::{LbcPlan, TbsPlan, TrailingUpdate};
 use crate::tbs::{tbs_build, tbs_cost};
-use crate::tbs_tiled::{tbs_tiled_build, tbs_tiled_cost};
 use symla_baselines::error::{OocError, Result};
 use symla_baselines::params::IoEstimate;
 use symla_baselines::{
@@ -59,13 +58,32 @@ impl LbcCostBreakdown {
     }
 }
 
-fn trailing_cost(rest: usize, bb: usize, plan: &LbcPlan) -> Result<IoEstimate> {
+/// Validates the panel width and returns the plans of the diagonal-block
+/// factorizations and the panel solves.
+fn panel_plans(plan: &LbcPlan) -> Result<(OocCholPlan, OocTrsmPlan)> {
+    if plan.block == 0 {
+        return Err(OocError::Invalid("LBC block size must be positive".into()));
+    }
+    Ok((
+        OocCholPlan::for_memory(plan.capacity)?,
+        OocTrsmPlan::for_memory(plan.capacity)?,
+    ))
+}
+
+/// The TBS plan of a trailing update of order `rest`, or `None` for the
+/// square-block ablation.
+fn trailing_tbs_plan(rest: usize, plan: &LbcPlan) -> Result<Option<TbsPlan>> {
     match plan.trailing {
-        TrailingUpdate::Tbs => tbs_cost(rest, bb, &TbsPlan::for_memory(plan.capacity)?),
-        TrailingUpdate::TbsTiled => {
-            tbs_tiled_cost(rest, bb, &TbsTiledPlan::for_problem(plan.capacity, rest)?)
-        }
-        TrailingUpdate::OocSyrk => Ok(ooc_syrk_cost(
+        TrailingUpdate::Tbs => TbsPlan::for_memory(plan.capacity).map(Some),
+        TrailingUpdate::TbsTiled => TbsPlan::for_problem(plan.capacity, rest).map(Some),
+        TrailingUpdate::OocSyrk => Ok(None),
+    }
+}
+
+fn trailing_cost(rest: usize, bb: usize, plan: &LbcPlan) -> Result<IoEstimate> {
+    match trailing_tbs_plan(rest, plan)? {
+        Some(tbs_plan) => tbs_cost(rest, bb, &tbs_plan),
+        None => Ok(ooc_syrk_cost(
             rest,
             bb,
             &OocSyrkPlan::for_memory(plan.capacity)?,
@@ -75,8 +93,7 @@ fn trailing_cost(rest: usize, bb: usize, plan: &LbcPlan) -> Result<IoEstimate> {
 
 /// Predicted, per-phase I/O of [`lbc_execute`]. Mirrors the executor exactly.
 pub fn lbc_cost_breakdown(n: usize, plan: &LbcPlan) -> Result<LbcCostBreakdown> {
-    let chol_plan = OocCholPlan::for_memory(plan.capacity)?;
-    let trsm_plan = OocTrsmPlan::for_memory(plan.capacity)?;
+    let (chol_plan, trsm_plan) = panel_plans(plan)?;
     let mut breakdown = LbcCostBreakdown::default();
     let mut i0 = 0;
     while i0 < n {
@@ -107,12 +124,8 @@ pub fn lbc_build<T: Scalar>(
     a: &SymWindowRef,
     plan: &LbcPlan,
 ) -> Result<()> {
-    if plan.block == 0 {
-        return Err(OocError::Invalid("LBC block size must be positive".into()));
-    }
+    let (chol_plan, trsm_plan) = panel_plans(plan)?;
     let n = a.order();
-    let chol_plan = OocCholPlan::for_memory(plan.capacity)?;
-    let trsm_plan = OocTrsmPlan::for_memory(plan.capacity)?;
 
     let mut i0 = 0;
     while i0 < n {
@@ -131,16 +144,9 @@ pub fn lbc_build<T: Scalar>(
             ooc_trsm_build(sched, &diag, &panel, &trsm_plan);
 
             sched.set_phase(PHASE_TRAILING);
-            match plan.trailing {
-                TrailingUpdate::Tbs => {
-                    let tbs_plan = TbsPlan::for_memory(plan.capacity)?;
-                    tbs_build(sched, &panel, &trailing, -T::ONE, &tbs_plan)?;
-                }
-                TrailingUpdate::TbsTiled => {
-                    let tiled_plan = TbsTiledPlan::for_problem(plan.capacity, rest)?;
-                    tbs_tiled_build(sched, &panel, &trailing, -T::ONE, &tiled_plan)?;
-                }
-                TrailingUpdate::OocSyrk => {
+            match trailing_tbs_plan(rest, plan)? {
+                Some(tbs_plan) => tbs_build(sched, &panel, &trailing, -T::ONE, &tbs_plan)?,
+                None => {
                     let sq_plan = OocSyrkPlan::for_memory(plan.capacity)?;
                     ooc_syrk_build(sched, &panel, &trailing, -T::ONE, &sq_plan);
                 }
@@ -298,6 +304,23 @@ mod tests {
             Err(OocError::Invalid(_))
         ));
         assert!(lbc_schedule::<f64>(&window, &plan).is_err());
+    }
+
+    #[test]
+    fn zero_block_is_rejected_by_the_cost_model() {
+        // The cost mirror rejects the plan the builder rejects instead of
+        // looping forever.
+        let plan = LbcPlan {
+            block: 0,
+            capacity: 300,
+            trailing: TrailingUpdate::Tbs,
+        };
+        let window = SymWindowRef::full(symla_memory::MatrixId::synthetic(0), 40);
+        assert!(matches!(lbc_cost(40, &plan), Err(OocError::Invalid(_))));
+        assert!(matches!(
+            lbc_schedule::<f64>(&window, &plan),
+            Err(OocError::Invalid(_))
+        ));
     }
 
     #[test]

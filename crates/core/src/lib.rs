@@ -6,9 +6,9 @@
 //!
 //! * [`tbs`] — **TBS**, the Triangular Block SYRK schedule (Algorithm 4),
 //!   with I/O `N²M/(√2·√S) + N²/2 + O(NM log N)`, matching the paper's new
-//!   lower bound;
-//! * [`tbs_tiled`] — the tiled TBS variant (Section 5.1.4) usable at
-//!   practical matrix sizes;
+//!   lower bound, and its tiled variant (Section 5.1.4) usable at practical
+//!   matrix sizes: one builder over one [`TbsPlan`], element TBS being
+//!   tiled TBS with `b = 1`;
 //! * [`lbc`] — **LBC**, the Large Block Cholesky factorization
 //!   (Algorithm 5), with I/O `N³/(3·√2·√S) + O(N^{5/2})`;
 //! * [`bounds`] — the paper's lower bounds, the prior bounds of the
@@ -58,7 +58,6 @@ pub mod parallel;
 pub mod plan;
 pub mod service;
 pub mod tbs;
-pub mod tbs_tiled;
 
 /// The schedule-optimization pass layer (see `symla_sched::passes`).
 pub use symla_sched::passes;
@@ -79,13 +78,17 @@ pub use lbc::{
     lbc_build, lbc_cost, lbc_cost_breakdown, lbc_execute, lbc_schedule, LbcCostBreakdown,
 };
 pub use passes::{PassManager, PassPipeline};
-pub use plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
+pub use plan::{LbcPlan, TbsPlan, TrailingUpdate};
 pub use service::{PlanService, SharedPlanService};
 pub use tbs::{
     tbs_build, tbs_cost, tbs_decomposition, tbs_execute, tbs_schedule, TbsDecomposition,
 };
-pub use tbs_tiled::{
-    tbs_tiled_build, tbs_tiled_cost, tbs_tiled_decomposition, tbs_tiled_execute, tbs_tiled_schedule,
+
+/// The tiled-TBS names of the single TBS builder, for callers written
+/// against them: a tiled plan is a [`TbsPlan`] whose `b` may exceed 1.
+pub use crate::{
+    plan::TbsPlan as TbsTiledPlan,
+    tbs::{tbs_cost as tbs_tiled_cost, tbs_schedule as tbs_tiled_schedule},
 };
 
 // Re-export the companion crates so that downstream users (and the root

@@ -5,22 +5,26 @@ use symla_baselines::error::{OocError, Result};
 use symla_baselines::params::square_tile_for_capacity;
 use symla_sched::indexing::largest_coprime_below;
 
-/// Parameters of the element-level TBS schedule (Algorithm 4).
+/// Parameters of the TBS schedule (Algorithm 4) and of its tiled variant
+/// (Section 5.1.4): element TBS is tiled TBS with `b = 1`.
 ///
-/// `S = k(k+1)/2`: fast memory holds a triangle block of `k(k−1)/2` result
-/// elements plus the `k` elements of one column of `A` restricted to the
-/// block's rows.
+/// `S ≥ b²·k(k−1)/2 + k·b`: fast memory holds a triangle block of
+/// `k(k−1)/2` tiles of `b×b` result elements plus the `k·b` elements of one
+/// column of `A` restricted to the block's rows. At `b = 1` that is
+/// `S ≥ k(k+1)/2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TbsPlan {
-    /// Triangle-block side length `k`.
+    /// Triangle-block side length, in tiles.
     pub k: usize,
-    /// Fast-memory capacity the plan was derived from (used for the
-    /// square-block fallback).
+    /// Tile side length (`1` for element TBS).
+    pub b: usize,
+    /// Fast-memory capacity the plan was derived from (sizes the
+    /// square-block fallback and leftover strip).
     pub capacity: usize,
 }
 
 impl TbsPlan {
-    /// Chooses the largest `k` with `k(k+1)/2 ≤ s`.
+    /// Element TBS: the largest `k` with `k(k+1)/2 ≤ s`, and `b = 1`.
     pub fn for_memory(s: usize) -> Result<Self> {
         if s < 3 {
             return Err(OocError::Invalid(format!(
@@ -34,72 +38,41 @@ impl TbsPlan {
         while (k + 1) * (k + 2) / 2 <= s {
             k += 1;
         }
-        Ok(Self { k, capacity: s })
-    }
-
-    /// Uses an explicit `k` (capacity is set to the exact working set
-    /// `k(k+1)/2`).
-    pub fn with_k(k: usize) -> Result<Self> {
-        if k < 2 {
-            return Err(OocError::Invalid("TBS needs k >= 2".into()));
-        }
         Ok(Self {
             k,
-            capacity: k * (k + 1) / 2,
+            b: 1,
+            capacity: s,
         })
     }
 
-    /// Fast-memory working set of the triangle-block phase: `k(k+1)/2`.
-    pub fn working_set(&self) -> usize {
-        self.k * (self.k + 1) / 2
+    /// Element TBS with an explicit `k`: [`with_params`](Self::with_params)
+    /// `(k, 1)`.
+    pub fn with_k(k: usize) -> Result<Self> {
+        Self::with_params(k, 1)
     }
 
-    /// The grid size `c` used for a matrix of order `n`: the largest integer
-    /// `≤ n/k` coprime with every integer in `[2, k−2]`, or `None` if
-    /// `n < k`.
-    pub fn grid_size(&self, n: usize) -> Option<usize> {
-        if self.k == 0 || n < self.k {
-            return None;
+    /// Uses explicit `(k, b)`; the capacity is set to the exact working set.
+    pub fn with_params(k: usize, b: usize) -> Result<Self> {
+        let plan = Self { k, b, capacity: 0 };
+        plan.validate()?;
+        Ok(Self {
+            capacity: plan.working_set(),
+            ..plan
+        })
+    }
+
+    /// Rejects plans whose triangle blocks cannot shrink a zone: `k < 2`
+    /// recurses into a zone of the same order, `b = 0` has no rows.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.k < 2 || self.b == 0 {
+            return Err(OocError::Invalid(format!(
+                "TBS needs k >= 2 and b >= 1, got k = {} and b = {}",
+                self.k, self.b
+            )));
         }
-        largest_coprime_below(n / self.k, self.k)
+        Ok(())
     }
 
-    /// Whether the triangle-block phase is applicable for a matrix of order
-    /// `n` (Algorithm 4's test `c ≥ k − 1`).
-    pub fn applicable(&self, n: usize) -> bool {
-        self.grid_size(n).map(|c| c + 1 >= self.k).unwrap_or(false)
-    }
-
-    /// Smallest matrix order for which the triangle-block phase engages:
-    /// `k · c₀` where `c₀` is the smallest integer `≥ k − 1` coprime with
-    /// `[2, k − 2]`. This is `≈ k(k−1) ≈ 2S`, the paper's observation that
-    /// element-level TBS only engages once the matrix is much larger than
-    /// the fast memory.
-    pub fn min_applicable_n(&self) -> usize {
-        let mut c0 = self.k.saturating_sub(1).max(1);
-        while !symla_sched::indexing::is_coprime_with_range(c0, self.k.saturating_sub(2)) {
-            c0 += 1;
-        }
-        self.k * c0
-    }
-}
-
-/// Parameters of the tiled TBS schedule (Section 5.1.4).
-///
-/// `S ≈ b²·k(k−1)/2 + k·b`: fast memory holds a triangle block of
-/// `k(k−1)/2` tiles of size `b×b` plus the `k·b` elements of one column of
-/// `A` restricted to the block's tile rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TbsTiledPlan {
-    /// Triangle-block side length, in tiles.
-    pub k: usize,
-    /// Tile side length.
-    pub b: usize,
-    /// Fast-memory capacity the plan was derived from.
-    pub capacity: usize,
-}
-
-impl TbsTiledPlan {
     /// Largest tile size `b` for a given `k` and capacity `s`
     /// (`b²·k(k−1)/2 + k·b ≤ s`), if any.
     pub fn max_tile_for(k: usize, s: usize) -> Option<usize> {
@@ -121,20 +94,6 @@ impl TbsTiledPlan {
         } else {
             Some(b)
         }
-    }
-
-    /// Uses explicit `(k, b)`.
-    pub fn with_params(k: usize, b: usize) -> Result<Self> {
-        if k < 2 || b == 0 {
-            return Err(OocError::Invalid(
-                "tiled TBS needs k >= 2 and b >= 1".into(),
-            ));
-        }
-        Ok(Self {
-            k,
-            b,
-            capacity: b * b * k * (k - 1) / 2 + k * b,
-        })
     }
 
     /// Picks `(k, b)` for a memory of `s` elements and a matrix of order `n`:
@@ -173,13 +132,14 @@ impl TbsTiledPlan {
     }
 
     /// Fast-memory working set of the triangle-block phase:
-    /// `b²·k(k−1)/2 + k·b`.
+    /// `b²·k(k−1)/2 + k·b` (`k(k+1)/2` at `b = 1`).
     pub fn working_set(&self) -> usize {
         self.b * self.b * self.k * (self.k - 1) / 2 + self.k * self.b
     }
 
     /// The tile-grid size `c` for a matrix of order `n`: the largest integer
-    /// `≤ n/(k·b)` coprime with every integer in `[2, k−2]`.
+    /// `≤ n/(k·b)` coprime with every integer in `[2, k−2]`, or `None` if
+    /// `n < k·b`.
     pub fn grid_size(&self, n: usize) -> Option<usize> {
         let kb = self.k * self.b;
         if kb == 0 || n < kb {
@@ -188,19 +148,35 @@ impl TbsTiledPlan {
         largest_coprime_below(n / kb, self.k)
     }
 
-    /// Whether the triangle-block phase engages for a matrix of order `n`.
+    /// Whether the triangle-block phase is applicable for a matrix of order
+    /// `n` (Algorithm 4's test `c ≥ k − 1`).
     pub fn applicable(&self, n: usize) -> bool {
         self.grid_size(n).map(|c| c + 1 >= self.k).unwrap_or(false)
+    }
+
+    /// Smallest matrix order for which the triangle-block phase engages:
+    /// `k·b·c₀` where `c₀` is the smallest integer `≥ k − 1` coprime with
+    /// `[2, k − 2]`. At `b = 1` this is `≈ k(k−1) ≈ 2S`, the paper's
+    /// observation that element TBS only engages once the matrix is much
+    /// larger than the fast memory; tiles lower it to `≈ √(2S)·√(k(k−1))`.
+    pub fn min_applicable_n(&self) -> usize {
+        let mut c0 = self.k.saturating_sub(1).max(1);
+        while !symla_sched::indexing::is_coprime_with_range(c0, self.k.saturating_sub(2)) {
+            c0 += 1;
+        }
+        self.k * self.b * c0
     }
 }
 
 /// Strategy used by LBC for its trailing update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrailingUpdate {
-    /// Element-level TBS (Algorithm 4); falls back internally to square
-    /// blocks when its applicability condition fails.
+    /// TBS with [`TbsPlan::for_memory`] (element TBS, `b = 1`); falls back
+    /// internally to square blocks when its applicability condition fails.
     Tbs,
-    /// Tiled TBS (Section 5.1.4).
+    /// TBS with [`TbsPlan::for_problem`] for each trailing order (tiled
+    /// TBS, Section 5.1.4). The same builder as [`TrailingUpdate::Tbs`]:
+    /// only the choice of `(k, b)` differs.
     TbsTiled,
     /// Square-block OOC_SYRK (this reproduces a conventional right-looking
     /// out-of-core Cholesky, the ablation point of experiment E3/E7).
@@ -268,6 +244,11 @@ mod tests {
         assert_eq!(TbsPlan::for_memory(105).unwrap().k, 14);
         assert!(TbsPlan::with_k(1).is_err());
         assert_eq!(TbsPlan::with_k(5).unwrap().working_set(), 15);
+        assert_eq!(
+            TbsPlan::with_k(5).unwrap(),
+            TbsPlan::with_params(5, 1).unwrap()
+        );
+        assert_eq!(TbsPlan::for_memory(105).unwrap().b, 1);
     }
 
     #[test]
@@ -285,39 +266,45 @@ mod tests {
         assert_eq!(p.min_applicable_n(), 25);
         assert!(p.applicable(p.min_applicable_n()));
         assert!(!p.applicable(p.min_applicable_n() - p.k));
+
+        // Tiles scale the threshold by b: k = 3, b = 4 engages at 3·4·2 = 24.
+        let tiled = TbsPlan::with_params(3, 4).unwrap();
+        assert_eq!(tiled.min_applicable_n(), 24);
+        assert!(tiled.applicable(24));
+        assert!(!tiled.applicable(23));
     }
 
     #[test]
     fn tiled_plan_tile_is_maximal() {
         for &(k, s) in &[(2_usize, 100_usize), (3, 500), (4, 1000), (6, 10_000)] {
-            let b = TbsTiledPlan::max_tile_for(k, s).unwrap();
+            let b = TbsPlan::max_tile_for(k, s).unwrap();
             let ws = b * b * k * (k - 1) / 2 + k * b;
             assert!(ws <= s, "k={k} s={s}");
             let ws_next = (b + 1) * (b + 1) * k * (k - 1) / 2 + k * (b + 1);
             assert!(ws_next > s, "k={k} s={s}: b={b} not maximal");
         }
-        assert!(TbsTiledPlan::max_tile_for(1, 100).is_none());
-        assert!(TbsTiledPlan::max_tile_for(30, 10).is_none());
+        assert!(TbsPlan::max_tile_for(1, 100).is_none());
+        assert!(TbsPlan::max_tile_for(30, 10).is_none());
     }
 
     #[test]
     fn tiled_plan_for_problem_prefers_applicable() {
         // With S = 1000 and a small matrix, large k is not applicable; the
         // planner should pick parameters that actually engage.
-        let plan = TbsTiledPlan::for_problem(1000, 256).unwrap();
+        let plan = TbsPlan::for_problem(1000, 256).unwrap();
         assert!(plan.applicable(256), "plan {plan:?} should engage at n=256");
         assert!(plan.working_set() <= 1000);
 
         // For a big matrix it should pick a larger (k-1)*b product than k=2.
-        let plan_big = TbsTiledPlan::for_problem(1000, 100_000).unwrap();
-        let k2 = TbsTiledPlan::max_tile_for(2, 1000).unwrap();
+        let plan_big = TbsPlan::for_problem(1000, 100_000).unwrap();
+        let k2 = TbsPlan::max_tile_for(2, 1000).unwrap();
         assert!(
             (plan_big.k - 1) * plan_big.b >= k2,
             "planner must not be worse than k=2"
         );
-        assert!(TbsTiledPlan::for_problem(4, 100).is_err());
-        assert!(TbsTiledPlan::with_params(1, 4).is_err());
-        assert!(TbsTiledPlan::with_params(3, 0).is_err());
+        assert!(TbsPlan::for_problem(4, 100).is_err());
+        assert!(TbsPlan::with_params(1, 4).is_err());
+        assert!(TbsPlan::with_params(3, 0).is_err());
     }
 
     #[test]

@@ -287,6 +287,62 @@ mod tests {
         assert_eq!(key.content_hash(), 0xdc49c7354afe6914);
     }
 
+    /// A cached plan must not change under its pinned key, so the TBS
+    /// family's schedules are pinned byte for byte: element TBS engaged and
+    /// in its fallback, tiled TBS at the pass-gate and benchmark instances,
+    /// and LBC with TBS and square-block trailing updates.
+    #[test]
+    fn tbs_family_schedule_hashes_are_pinned() {
+        use crate::{lbc_schedule, tbs_schedule, LbcPlan, TbsPlan, TrailingUpdate};
+        use symla_memory::{MatrixId, PanelRef, SymWindowRef};
+
+        let [a, c] = [0, 1].map(MatrixId::synthetic);
+        let syrk = |n: usize, m: usize, alpha: f64, plan: &TbsPlan| {
+            let (a, c) = (PanelRef::dense(a, n, m), SymWindowRef::full(c, n));
+            let schedule = tbs_schedule(&a, &c, alpha, plan).unwrap();
+            (schedule.content_hash(), schedule.num_steps())
+        };
+        let element = [
+            (30, 6, 10, 1.0, 0x123bdf22e0f40e50, 2640),
+            (30, 6, 10, -1.0, 0x1545699f82611350, 2640),
+            (30, 6, 10, 1.5, 0xfc123f512ed92e10, 2640),
+            (20, 5, 64, 1.0, 0xf493e230f0ab1014, 138),
+            (20, 5, 64, -1.0, 0xd786aaa7db461f14, 138),
+            (20, 5, 64, 1.5, 0xd5378a916cf98dc4, 138),
+        ];
+        for (n, m, s, alpha, hash, steps) in element {
+            let plan = TbsPlan::for_memory(s).unwrap();
+            assert_eq!(plan.applicable(n), n == 30);
+            assert_eq!(
+                syrk(n, m, alpha, &plan),
+                (hash, steps),
+                "n={n} alpha={alpha}"
+            );
+        }
+        let tiled = [
+            (40, 6, 60, (3, 4), 0x7c47582434a92ff4, 777),
+            (80, 10, 120, (4, 4), 0x56c577e7463cb995, 2801),
+            (1024, 64, 2000, (8, 8), 0x00c024532dcaa817, 383_050),
+        ];
+        for (n, m, s, kb, hash, steps) in tiled {
+            let plan = TbsPlan::for_problem(s, n).unwrap();
+            assert_eq!((plan.k, plan.b), kb);
+            assert_eq!(syrk(n, m, 1.0, &plan), (hash, steps), "n={n}");
+        }
+        let lbc = [
+            (TrailingUpdate::Tbs, 0xc25fe868a18458be, 1_330_740),
+            (TrailingUpdate::OocSyrk, 0x1c8a582ba0de8be4, 1_602_476),
+        ];
+        for (trailing, hash, steps) in lbc {
+            let plan = LbcPlan::for_problem(768, 300)
+                .unwrap()
+                .with_trailing(trailing);
+            let schedule = lbc_schedule::<f64>(&SymWindowRef::full(a, 768), &plan).unwrap();
+            let got = (schedule.content_hash(), schedule.num_steps());
+            assert_eq!(got, (hash, steps), "{trailing:?}");
+        }
+    }
+
     #[test]
     fn served_syrk_is_bitwise_identical_across_algorithms_and_modes() {
         let (n, m, s) = (40usize, 8usize, 60usize);

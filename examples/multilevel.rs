@@ -26,8 +26,8 @@ fn main() {
     let c = generate::random_symmetric::<f64>(n, &mut generate::seeded_rng(12));
     let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let plan = TbsTiledPlan::for_problem(s, n).expect("plan");
-    let schedule = tbs_tiled_schedule::<f64>(&a_ref, &c_ref, 1.0, &plan).expect("schedule");
+    let plan = TbsPlan::for_problem(s, n).expect("plan");
+    let schedule = tbs_schedule::<f64>(&a_ref, &c_ref, 1.0, &plan).expect("schedule");
 
     // Plain two-level replay: the reference.
     let mut flat = OocMachine::<f64>::new(MachineConfig::with_capacity(s));

@@ -14,8 +14,8 @@ fn main() {
     let (n, m, s) = (40, 6, 60);
     let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let plan = TbsTiledPlan::for_problem(s, n).unwrap();
-    let seed = tbs_tiled_schedule::<f64>(&a_ref, &c_ref, 1.0, &plan).unwrap();
+    let plan = TbsPlan::for_problem(s, n).unwrap();
+    let seed = tbs_schedule::<f64>(&a_ref, &c_ref, 1.0, &plan).unwrap();
     println!("seed     : {seed}");
     println!("--- first task group of the seed dump ---");
     for line in seed.dump().lines().skip(1).take(12) {

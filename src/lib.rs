@@ -20,9 +20,10 @@
 //!   traces, the metrics registry and Perfetto timeline export;
 //! * [`baselines`] (`symla-baselines`) — Béreux's out-of-core SYRK / TRSM /
 //!   Cholesky and the GEMM / LU comparison points;
-//! * [`core`] (`symla-core`) — the paper's TBS and LBC schedules, lower
-//!   bounds, planners, the operational-intensity analysis and the high-level
-//!   API.
+//! * [`core`] (`symla-core`) — the paper's TBS and LBC schedules (element
+//!   and tiled TBS are one builder over one [`core::TbsPlan`], element TBS
+//!   being tile side `b = 1`), lower bounds, planners, the
+//!   operational-intensity analysis and the high-level API.
 //!
 //! ## Quick start
 //!
@@ -71,9 +72,8 @@ pub mod prelude {
             WallClock,
         },
         bounds, lbc_cost, lbc_cost_breakdown, lbc_execute, lbc_schedule, oi, tbs_cost, tbs_execute,
-        tbs_schedule, tbs_tiled_cost, tbs_tiled_execute, tbs_tiled_schedule, Engine, EngineConfig,
-        LbcPlan, PassManager, PassPipeline, PlanService, Schedule, ScheduleBuilder, TbsPlan,
-        TbsTiledPlan, TrailingUpdate,
+        tbs_schedule, Engine, EngineConfig, LbcPlan, PassManager, PassPipeline, PlanService,
+        Schedule, ScheduleBuilder, TbsPlan, TrailingUpdate,
     };
     pub use symla_matrix::{
         generate, kernels, LowerTriangular, Matrix, MatrixError, Scalar, SymMatrix,

@@ -33,7 +33,10 @@ fn tbs_builder(
                 if plan.working_set() > s {
                     return Err(format!("k={k} exceeds capacity {s}"));
                 }
-                TbsPlan { k, capacity: s }
+                TbsPlan {
+                    capacity: s,
+                    ..plan
+                }
             }
         };
         tbs_schedule(&a_ref, &c_ref, 1.0, &plan).map_err(|e| e.to_string())

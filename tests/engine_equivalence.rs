@@ -25,7 +25,7 @@ use symla_baselines::{
     ooc_lu_schedule, ooc_syrk_cost, ooc_syrk_schedule, ooc_trsm_cost, ooc_trsm_schedule,
 };
 use symla_core::engine::{Engine, Schedule, WorkerRun};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
+use symla_core::{lbc_schedule, tbs_schedule};
 use symla_memory::{MachineConfig, SharedSlowMemory};
 
 /// Runs a schedule on a trace-recording machine and checks modes 2 and 3.
@@ -73,12 +73,12 @@ fn syrk_schedules_dry_run_matches_analytic_costs() {
         let dry = IoEstimate::from_stats(&Engine::dry_run(&schedule, "main"));
         assert_eq!(dry, tbs_cost(n, m, &tbs_plan).unwrap(), "{ctx}: TBS");
 
-        let tiled_plan = TbsTiledPlan::for_problem(s, n).unwrap();
-        let schedule = tbs_tiled_schedule::<f64>(&a_ref, &c_ref, 1.0, &tiled_plan).unwrap();
+        let tiled_plan = TbsPlan::for_problem(s, n).unwrap();
+        let schedule = tbs_schedule::<f64>(&a_ref, &c_ref, 1.0, &tiled_plan).unwrap();
         let dry = IoEstimate::from_stats(&Engine::dry_run(&schedule, "main"));
         assert_eq!(
             dry,
-            tbs_tiled_cost(n, m, &tiled_plan).unwrap(),
+            tbs_cost(n, m, &tiled_plan).unwrap(),
             "{ctx}: TBS(tiled)"
         );
     }
@@ -384,8 +384,8 @@ fn parallel_execution_matches_serial_for_all_grouped_schedules() {
     assert!(schedule.num_groups() > 1);
     check_parallel_matches_serial("TBS", &schedule, s, &update_operands);
 
-    let tiled_plan = TbsTiledPlan::for_problem(s, n).unwrap();
-    let schedule = tbs_tiled_schedule::<f64>(&a_ref, &c_ref, 1.0, &tiled_plan).unwrap();
+    let tiled_plan = TbsPlan::for_problem(s, n).unwrap();
+    let schedule = tbs_schedule::<f64>(&a_ref, &c_ref, 1.0, &tiled_plan).unwrap();
     assert!(schedule.num_groups() > 1);
     check_parallel_matches_serial("TBS(tiled)", &schedule, s, &update_operands);
 

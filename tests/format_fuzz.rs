@@ -33,13 +33,7 @@ fn builder_schedules() -> Vec<(&'static str, Schedule<f64>)> {
         ),
         (
             "tbs_tiled",
-            tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
+            tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_problem(s, n).unwrap()).unwrap(),
         ),
         (
             "lbc",

@@ -139,13 +139,8 @@ fn builder_cases() -> Vec<Case> {
         Case {
             name: "tbs_tiled",
             memory: s,
-            schedule: tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
+            schedule: tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_problem(s, n).unwrap())
+                .unwrap(),
             mats: update_mats,
         },
         Case {

@@ -128,7 +128,7 @@ fn lbc_beats_the_no_symmetry_bound() {
 fn tiled_tradeoff() {
     let s = 4656; // k = 96 for the element version
     let element = TbsPlan::for_memory(s).unwrap();
-    let tiled = TbsTiledPlan::for_problem(s, 4000).unwrap();
+    let tiled = TbsPlan::for_problem(s, 4000).unwrap();
     // tiled engages at n = 4000, element-level does not
     assert!(tiled.applicable(4000));
     assert!(!element.applicable(4000));

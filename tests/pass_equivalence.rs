@@ -22,8 +22,8 @@ use symla_baselines::{
 };
 use symla_core::engine::{Engine, Schedule, WorkerRun};
 use symla_core::passes::{verify, PassPipeline};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
+use symla_core::plan::{LbcPlan, TbsPlan};
+use symla_core::{lbc_schedule, tbs_schedule};
 use symla_matrix::generate::{random_lower_triangular, random_matrix_seeded, random_spd_seeded};
 use symla_matrix::{Matrix, SymMatrix};
 use symla_memory::{MachineConfig, MatrixId, SharedSlowMemory};
@@ -104,13 +104,7 @@ fn all_cases() -> Vec<Case> {
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
     cases.push(Case {
         name: "tbs_tiled",
-        schedule: tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            -1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
+        schedule: tbs_schedule(&a_ref, &c_ref, -1.0, &TbsPlan::for_problem(s, n).unwrap()).unwrap(),
         mats: vec![Mat::Dense(a40.clone()), Mat::Sym(c40.clone())],
     });
     let (n, m, s) = (20, 5, 35);

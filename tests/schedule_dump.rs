@@ -126,13 +126,7 @@ fn parse_round_trips_every_builder() {
         ),
         (
             "tbs_tiled",
-            tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
+            tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_problem(s, n).unwrap()).unwrap(),
         ),
         (
             "lbc",

@@ -197,13 +197,8 @@ fn tbs_tiled_trace_audit_seed_and_optimized() {
     let (n, m, s) = (120, 16, 180);
     let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let seed = tbs_tiled_schedule::<f64>(
-        &a_ref,
-        &c_ref,
-        1.0,
-        &TbsTiledPlan::for_problem(s, n).unwrap(),
-    )
-    .unwrap();
+    let seed =
+        tbs_schedule::<f64>(&a_ref, &c_ref, 1.0, &TbsPlan::for_problem(s, n).unwrap()).unwrap();
     for (name, schedule) in seed_and_optimized("tbs_tiled", seed) {
         audit_syrk(&name, &schedule, n, m, s);
     }

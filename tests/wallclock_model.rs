@@ -60,13 +60,8 @@ fn sweep_cases() -> Vec<Case> {
         },
         Case {
             name: "TBS(tiled)",
-            schedule: tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
+            schedule: tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_problem(s, n).unwrap())
+                .unwrap(),
             capacity: s,
             operands: update_ops.clone(),
             must_hide: true,
