@@ -17,8 +17,9 @@
 //!   schedule with independent task groups over `P` workers of a
 //!   [`symla_memory::SharedSlowMemory`] through a work-stealing queue; each
 //!   worker has a private capacity-checked fast memory counting its own
-//!   [`symla_memory::IoStats`]. `symla_core::parallel` builds on this for
-//!   the parallel SYRK extension.
+//!   [`symla_memory::IoStats`].
+//!   [`RunOptions::workers`](crate::RunOptions::workers) replays a compiled
+//!   SYRK-family plan through it.
 //! * **dry-run** — [`Engine::dry_run`] replays the schedule against a
 //!   data-less [`symla_memory::SymbolicMachine`] and returns its
 //!   [`symla_memory::IoStats`]: exactly what an execution produces (loads,
@@ -26,15 +27,16 @@
 //!   machines count through the same ledger, without touching data. Dry
 //!   runs agree element-for-element with the analytic `*_cost` models,
 //!   which the equivalence tests assert.
-//! * **trace** — [`Engine::trace`] reads the [`symla_memory::Trace`] of the
-//!   same symbolic replay, for schedule inspection and bound verification,
-//!   again without executing kernels.
+//! * **trace** — wrapping the machine in a
+//!   [`symla_obs::InstrumentedMachine`] records the run's
+//!   [`symla_obs::RunTrace`]; [`modelled_run_trace`] synthesizes the trace
+//!   of a schedule that has not run from the same symbolic replay.
 //! * **execute-prefetch** — every replay above also exists in a prefetching
 //!   variant ([`Engine::execute_with`], [`Engine::dry_run_with`],
-//!   [`Engine::trace_with`], [`Engine::execute_parallel_with`]) taking an
-//!   [`EngineConfig`]: with `lookahead = L > 0` the engine double-buffers
-//!   the load stream, issuing the `Load` steps of up to `L` future task
-//!   groups while the current group computes. The
+//!   [`Engine::execute_parallel_with`]) taking an [`EngineConfig`]: with
+//!   `lookahead = L > 0` the engine double-buffers the load stream, issuing
+//!   the `Load` steps of up to `L` future task groups while the current
+//!   group computes. The
 //!   [`symla_sched::prefetch`] planner admits only loads that fit the
 //!   capacity slack `S − footprint` and read fresh data, so results stay
 //!   bitwise-identical and peak residency never exceeds the capacity; the
@@ -42,11 +44,11 @@
 //!   [`symla_memory::IoStats::prefetched_elements`].
 //!
 //! The cross-mode invariant (checked by `tests/engine_equivalence.rs`): a
-//! serial execution leaves the machine's stats equal to the dry run and its
-//! trace equal to the synthesized trace; a parallel execution leaves the
-//! *sum* of the per-worker stats equal to the dry run, each worker's stats
-//! equal to the dry run of the groups it processed, and the slow-memory
-//! contents bitwise-identical to the serial execution's.
+//! serial execution leaves the machine's stats equal to the dry run; a
+//! parallel execution leaves the *sum* of the per-worker stats equal to the
+//! dry run, each worker's stats equal to the dry run of the groups it
+//! processed, and the slow-memory contents bitwise-identical to the serial
+//! execution's.
 //!
 //! Between the builders and the engine sits the **pass layer**
 //! ([`crate::passes`], re-exported from `symla_sched::passes`): IR-to-IR

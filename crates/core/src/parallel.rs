@@ -146,7 +146,7 @@ pub fn parallel_syrk_sharded<T: Scalar>(
                     };
                     let mut machine = shared.worker_on(config, home);
                     Engine::execute(&mut machine, &sub)?;
-                    Ok::<_, symla_sched::EngineError>((machine.into_accounting().0, groups.len()))
+                    Ok::<_, symla_sched::EngineError>((machine.into_accounting(), groups.len()))
                 })
             })
             .collect();

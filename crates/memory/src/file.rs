@@ -5,7 +5,7 @@
 //! packed lower for symmetric) is written to one temporary file, and every
 //! [`FileSlowMemory::load`] / [`FileSlowMemory::store`] performs real
 //! `seek`/`read`/`write` syscalls against it. The accounting — element-exact
-//! I/O counting, capacity checks, leases, traces — is the shared ledger and
+//! I/O counting, capacity checks, leases — is the shared ledger and
 //! lease table of [`crate::machine`], so `IoStats` from a file-backed run are
 //! directly comparable (and, for the same schedule, identical) to the
 //! simulated machine's.
@@ -26,7 +26,6 @@ use crate::level::Level;
 use crate::machine::{FastBuf, Leases, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
-use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -148,7 +147,7 @@ impl<T: Scalar> FileSlowMemory<T> {
         })
     }
 
-    /// Convenience constructor: capacity `s`, no trace.
+    /// Convenience constructor: capacity `s`.
     pub fn with_capacity(s: usize) -> Result<Self> {
         Self::new(MachineConfig::with_capacity(s))
     }
@@ -343,7 +342,7 @@ impl<T: Scalar> FileSlowMemory<T> {
         let meta = self.meta(id)?;
         self.validate_region(&meta, &region)?;
         let data = self.gather(&meta, &region)?;
-        self.ledger.admit_load(id, &region, level);
+        self.ledger.admit_load(region.len(), level);
         self.leases.take(id);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
@@ -378,7 +377,7 @@ impl<T: Scalar> FileSlowMemory<T> {
         self.scatter(&meta, buf.region(), buf.as_slice())?;
         self.ledger.release(buf.len());
         self.leases.release(buf.matrix_id());
-        self.ledger.note_store(buf.matrix_id(), buf.region(), level);
+        self.ledger.note_store(buf.len(), level);
         Ok(())
     }
 
@@ -398,11 +397,6 @@ impl<T: Scalar> FileSlowMemory<T> {
     /// The accumulated statistics.
     pub fn stats(&self) -> &IoStats {
         self.ledger.stats()
-    }
-
-    /// The recorded trace, if trace recording was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.ledger.trace()
     }
 
     /// Reads a dense matrix out of the file and deregisters it (fails if any
@@ -622,6 +616,21 @@ mod tests {
             fil.load(d, Region::rect(2, 0, 4, 2)),
             Err(MemoryError::RegionOutOfBounds { .. })
         ));
+        // An end that overflows `usize` does not wrap back in bounds.
+        for region in [
+            Region::rect(usize::MAX, 0, 2, 1),
+            Region::Rows {
+                rows: vec![0],
+                col0: usize::MAX,
+                cols: 2,
+            },
+        ] {
+            assert!(matches!(
+                fil.load(d, region),
+                Err(MemoryError::RegionOutOfBounds { .. })
+            ));
+        }
+        assert_eq!(fil.resident(), 0);
         assert!(fil.take_symmetric(d).is_err());
         assert!(fil.take_dense(s).is_err());
         // Still present after the failed takes.

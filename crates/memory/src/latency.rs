@@ -5,7 +5,7 @@
 //! the file-backed machine of [`crate::file`]) and charges modelled
 //! nanoseconds from a [`MachineModel`] for every transfer and every recorded
 //! flop, without changing the wrapped machine's behaviour in any way: results,
-//! `IoStats`, traces and errors are exactly those of the inner machine.
+//! `IoStats` and errors are exactly those of the inner machine.
 //!
 //! Time is accumulated on a [`ModelClock`] per *window* — the engine
 //! brackets each task group with [`MachineOps::note_group_boundary`] calls.

@@ -10,8 +10,7 @@
 //! * Every transfer is counted in [`stats::IoStats`]; the measured volumes
 //!   are what the experiments compare against the paper's lower bounds and
 //!   closed-form algorithm costs.
-//! * Optional [`trace::Trace`] recording and an LRU / Belady-OPT
-//!   [`cache`] replay simulator support the schedule-inspection and
+//! * An LRU / Belady-OPT [`cache`] replay simulator supports the
 //!   "explicit control vs automatic caching" ablations.
 //! * [`shared::SharedSlowMemory`] extends the model to the paper's parallel
 //!   machine: one slow memory shared (behind interior synchronization) by
@@ -20,7 +19,7 @@
 //!   can be split into shards ([`shared::SharedSlowMemory::with_shards`]),
 //!   with per-shard lease accounting and a per-shard traffic breakdown.
 //! * [`symbolic::SymbolicMachine`] is a machine without data: it keeps the
-//!   same ledger (capacity, residency, phase, trace, `IoStats`) but its
+//!   same ledger (capacity, residency, phase, `IoStats`) but its
 //!   buffers are empty, so replaying a schedule against it is a dry run.
 //!   Wrapped in [`latency::LatencyMachine`], which prices through the
 //!   [`clock::ModelClock`], it models a replay's time.
@@ -65,7 +64,6 @@ pub mod stats;
 pub mod storage;
 pub mod symbolic;
 pub mod tiered;
-pub mod trace;
 
 pub use clock::ModelClock;
 pub use error::{MemoryError, Result};
@@ -81,4 +79,3 @@ pub use shared::{SharedSlowMemory, WorkerMachine};
 pub use stats::{IoStats, IoVolume};
 pub use symbolic::SymbolicMachine;
 pub use tiered::TieredMachine;
-pub use trace::{Direction, Trace, TraceEvent};

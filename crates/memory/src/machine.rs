@@ -20,7 +20,6 @@ use crate::level::Level;
 use crate::region::Region;
 use crate::stats::IoStats;
 use crate::storage::SlowMatrix;
-use crate::trace::{Direction, Trace, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use symla_matrix::kernels::FlopCount;
@@ -36,7 +35,7 @@ static MACHINE_COUNTER: AtomicU64 = AtomicU64::new(1);
 pub struct MatrixId(pub(crate) u64);
 
 impl MatrixId {
-    /// Raw numeric id (used in traces and error messages).
+    /// Raw numeric id (used in schedule dumps and error messages).
     pub fn raw(&self) -> u64 {
         self.0
     }
@@ -57,31 +56,17 @@ pub struct MachineConfig {
     /// for reference executions and for measuring what a schedule *would*
     /// transfer regardless of feasibility).
     pub capacity: Option<usize>,
-    /// Whether to record a [`Trace`] of every transfer.
-    pub record_trace: bool,
 }
 
 impl MachineConfig {
     /// A machine with fast-memory capacity `s` elements.
     pub fn with_capacity(s: usize) -> Self {
-        Self {
-            capacity: Some(s),
-            record_trace: false,
-        }
+        Self { capacity: Some(s) }
     }
 
     /// A machine without a capacity check.
     pub fn unlimited() -> Self {
-        Self {
-            capacity: None,
-            record_trace: false,
-        }
-    }
-
-    /// Enables or disables trace recording.
-    pub fn record_trace(mut self, yes: bool) -> Self {
-        self.record_trace = yes;
-        self
+        Self { capacity: None }
     }
 }
 
@@ -213,8 +198,8 @@ impl<T: Scalar> FastBuf<T> {
     }
 }
 
-/// The capacity, residency, phase, statistics and trace bookkeeping shared
-/// by every machine of this crate.
+/// The capacity, residency, phase and statistics bookkeeping shared by
+/// every machine of this crate.
 ///
 /// The simulated [`OocMachine`], the file-backed
 /// [`FileSlowMemory`](crate::file::FileSlowMemory), the workers of
@@ -222,14 +207,13 @@ impl<T: Scalar> FastBuf<T> {
 /// [`SymbolicMachine`](crate::symbolic::SymbolicMachine) differ only in where
 /// the bytes live, or whether there are any. The accounting contract —
 /// element-exact load/store counting, capacity checks on every admission,
-/// per-phase and per-level attribution, optional transfer traces — lives
-/// here, so their `IoStats` and traces cannot drift apart.
+/// per-phase and per-level attribution — lives here, so their `IoStats`
+/// cannot drift apart.
 #[derive(Debug)]
 pub(crate) struct Ledger {
     config: MachineConfig,
     resident: usize,
     stats: IoStats,
-    trace: Option<Trace>,
     phase: String,
     tag: u64,
 }
@@ -240,7 +224,6 @@ impl Ledger {
             config,
             resident: 0,
             stats: IoStats::new(),
-            trace: config.record_trace.then(Trace::new),
             phase: "main".to_string(),
             tag: MACHINE_COUNTER.fetch_add(1, Ordering::Relaxed),
         }
@@ -289,34 +272,18 @@ impl Ledger {
         Ok(())
     }
 
-    fn record_event(&mut self, direction: Direction, matrix: MatrixId, region: &Region) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEvent {
-                direction,
-                matrix: matrix.0,
-                region: region.clone(),
-                phase: self.phase.clone(),
-                resident_after: self.resident,
-            });
-        }
-    }
-
-    /// Accounts a completed load of `region` from `id` at tier `level`:
-    /// residency, load traffic (per phase and, off the default tier, per
-    /// level) and trace event, in that order.
-    pub(crate) fn admit_load(&mut self, id: MatrixId, region: &Region, level: Level) {
-        let elements = region.len();
+    /// Accounts a completed load of `elements` at tier `level`: residency
+    /// and load traffic (per phase and, off the default tier, per level).
+    pub(crate) fn admit_load(&mut self, elements: usize, level: Level) {
         self.resident += elements;
         self.stats.observe_resident(self.resident);
         self.stats.record_load(elements, &self.phase);
         if !level.is_default() {
             self.stats.record_level_load(level.raw(), elements);
         }
-        self.record_event(Direction::Load, id, region);
     }
 
-    /// Accounts a zero-fill allocation of `elements` (no load traffic, no
-    /// trace event).
+    /// Accounts a zero-fill allocation of `elements` (no load traffic).
     pub(crate) fn admit_alloc(&mut self, elements: usize) {
         self.resident += elements;
         self.stats.observe_resident(self.resident);
@@ -327,16 +294,12 @@ impl Ledger {
         self.resident -= elements;
     }
 
-    /// Accounts a completed store of `region` back to `id` at tier `level`
-    /// (call after [`Ledger::release`] so the trace event sees the
-    /// post-release residency).
-    pub(crate) fn note_store(&mut self, id: MatrixId, region: &Region, level: Level) {
-        let elements = region.len();
+    /// Accounts a completed store of `elements` at tier `level`.
+    pub(crate) fn note_store(&mut self, elements: usize, level: Level) {
         self.stats.record_store(elements, &self.phase);
         if !level.is_default() {
             self.stats.record_level_store(level.raw(), elements);
         }
-        self.record_event(Direction::Store, id, region);
     }
 
     pub(crate) fn stats(&self) -> &IoStats {
@@ -347,12 +310,8 @@ impl Ledger {
         &mut self.stats
     }
 
-    pub(crate) fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    pub(crate) fn into_accounting(self) -> (IoStats, Option<Trace>) {
-        (self.stats, self.trace)
+    pub(crate) fn into_accounting(self) -> IoStats {
+        self.stats
     }
 }
 
@@ -406,7 +365,7 @@ impl<T: Scalar> OocMachine<T> {
         }
     }
 
-    /// Convenience constructor: capacity `s`, no trace.
+    /// Convenience constructor: capacity `s`.
     pub fn with_capacity(s: usize) -> Self {
         Self::new(MachineConfig::with_capacity(s))
     }
@@ -470,7 +429,7 @@ impl<T: Scalar> OocMachine<T> {
             .get(&id.0)
             .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
         let data = matrix.gather(&region)?;
-        self.ledger.admit_load(id, &region, level);
+        self.ledger.admit_load(region.len(), level);
         self.leases.take(id);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
@@ -512,7 +471,7 @@ impl<T: Scalar> OocMachine<T> {
         matrix.scatter(&buf.region, &buf.data)?;
         self.ledger.release(buf.len());
         self.leases.release(buf.matrix);
-        self.ledger.note_store(buf.matrix, &buf.region, level);
+        self.ledger.note_store(buf.len(), level);
         Ok(())
     }
 
@@ -532,11 +491,6 @@ impl<T: Scalar> OocMachine<T> {
     /// The accumulated statistics.
     pub fn stats(&self) -> &IoStats {
         self.ledger.stats()
-    }
-
-    /// The recorded trace, if trace recording was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.ledger.trace()
     }
 
     /// Removes a dense matrix from slow memory and returns it (fails if any
@@ -933,23 +887,6 @@ mod tests {
         let _id2 = m2.insert_dense(Matrix::zeros(2, 2));
         let buf = m1.load(id1, Region::rect(0, 0, 2, 2)).unwrap();
         assert!(matches!(m2.store(buf), Err(MemoryError::ForeignBuffer)));
-    }
-
-    #[test]
-    fn trace_records_transfers() {
-        let mut machine =
-            OocMachine::<f64>::new(MachineConfig::with_capacity(64).record_trace(true));
-        let id = machine.insert_dense(Matrix::zeros(4, 4));
-        machine.set_phase("phase-a");
-        let b = machine.load(id, Region::rect(0, 0, 2, 4)).unwrap();
-        machine.store(b).unwrap();
-        let trace = machine.trace().unwrap();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.total_loaded(), 8);
-        assert_eq!(trace.total_stored(), 8);
-        assert_eq!(trace.peak_resident(), 8);
-        assert!(trace.events()[0].phase.contains("phase-a"));
-        assert_eq!(machine.phase(), "phase-a");
     }
 
     #[test]

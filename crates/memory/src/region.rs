@@ -224,7 +224,7 @@ impl Region {
                 rows,
                 cols,
             } => {
-                if row0 + rows > m || col0 + cols > n {
+                if overruns(*row0, *rows, m) || overruns(*col0, *cols, n) {
                     return Err(format!(
                         "rect {row0}+{rows} x {col0}+{cols} exceeds {m}x{n}"
                     ));
@@ -232,7 +232,7 @@ impl Region {
                 Ok(())
             }
             Region::Rows { rows, col0, cols } => {
-                if col0 + cols > n {
+                if overruns(*col0, *cols, n) {
                     return Err(format!("column range {col0}+{cols} exceeds {n}"));
                 }
                 for &r in rows {
@@ -251,7 +251,7 @@ impl Region {
                 if m != n {
                     return Err("symmetric region on a non-square matrix".to_string());
                 }
-                if row0 + rows > m || col0 + cols > n {
+                if overruns(*row0, *rows, m) || overruns(*col0, *cols, n) {
                     return Err(format!(
                         "sym rect {row0}+{rows} x {col0}+{cols} exceeds {m}x{n}"
                     ));
@@ -268,7 +268,7 @@ impl Region {
                 if m != n {
                     return Err("symmetric region on a non-square matrix".to_string());
                 }
-                if start + size > m {
+                if overruns(*start, *size, m) {
                     return Err(format!("diagonal block {start}+{size} exceeds {m}"));
                 }
                 Ok(())
@@ -293,7 +293,7 @@ impl Region {
                 if m != n {
                     return Err("symmetric region on a non-square matrix".to_string());
                 }
-                if col0 + cols > n {
+                if overruns(*col0, *cols, n) {
                     return Err(format!("column range {col0}+{cols} exceeds {n}"));
                 }
                 for &r in rows {
@@ -311,6 +311,12 @@ impl Region {
             }
         }
     }
+}
+
+/// Whether the range `start..start + len` ends past `bound`; a range whose
+/// end overflows `usize` does.
+fn overruns(start: usize, len: usize, bound: usize) -> bool {
+    start.checked_add(len).is_none_or(|end| end > bound)
 }
 
 /// Renders a row-index set as `{r1,r2,...}` (the form `Region`'s `FromStr` impl
@@ -647,6 +653,35 @@ mod tests {
         }
         .validate((8, 7))
         .is_err());
+    }
+
+    /// An origin near `usize::MAX` must not wrap its end back in bounds
+    /// (decoded schedules carry arbitrary coordinates).
+    #[test]
+    fn validation_rejects_ends_that_overflow() {
+        let max = usize::MAX;
+        for region in [
+            Region::rect(max, 0, 2, 1),
+            Region::rect(0, max, 1, 2),
+            Region::Rows {
+                rows: vec![0],
+                col0: max,
+                cols: 2,
+            },
+            Region::sym_rect(max, 0, 2, 1),
+            Region::sym_rect(3, max, 1, 2),
+            Region::SymLowerTriangle {
+                start: max,
+                size: 2,
+            },
+            Region::SymRows {
+                rows: vec![3],
+                col0: max,
+                cols: 2,
+            },
+        ] {
+            assert!(region.validate((4, 4)).is_err(), "{region}");
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! each with a *private* fast memory of `S` elements, exchanging data with a
 //! single *shared* slow memory. [`SharedSlowMemory`] is that shared level:
 //! one image of the registered matrices behind interior synchronization, so
-//! any number of [`WorkerMachine`]s — each with its own capacity check, its
-//! own [`IoStats`] and its own optional [`Trace`] — can load and store
-//! against it concurrently from scoped threads.
+//! any number of [`WorkerMachine`]s — each with its own capacity check and
+//! its own [`IoStats`] — can load and store against it concurrently from
+//! scoped threads.
 //!
 //! The design mirrors the serial [`OocMachine`](crate::machine::OocMachine)
 //! exactly:
@@ -38,7 +38,6 @@ use crate::machine::{FastBuf, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
 use crate::storage::SlowMatrix;
-use crate::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use symla_matrix::kernels::FlopCount;
@@ -221,9 +220,8 @@ impl<T: Scalar> SharedSlowMemory<T> {
 
     /// Creates a worker with a private fast memory configured by `config`.
     ///
-    /// Each worker counts its own [`IoStats`], records its own [`Trace`] (if
-    /// `config.record_trace` is set) and enforces its own capacity; any
-    /// number of workers may be driven concurrently from scoped threads.
+    /// Each worker counts its own [`IoStats`] and enforces its own capacity;
+    /// any number of workers may be driven concurrently from scoped threads.
     pub fn worker(&self, config: MachineConfig) -> WorkerMachine<'_, T> {
         self.worker_on(config, 0)
     }
@@ -364,7 +362,7 @@ impl<T: Scalar> SharedSlowMemory<T> {
 /// A worker is the parallel counterpart of the serial
 /// [`OocMachine`](crate::machine::OocMachine): it exposes the same
 /// load / allocate / store / discard surface (via [`MachineOps`]) and keeps
-/// its [`IoStats`] and optional [`Trace`] in the same ledger — but its loads
+/// its [`IoStats`] in the same ledger — but its loads
 /// and stores move data through the *shared* slow memory, so concurrent
 /// workers observe each other's stored results.
 #[derive(Debug)]
@@ -426,13 +424,8 @@ impl<'m, T: Scalar> WorkerMachine<'m, T> {
         self.ledger.stats()
     }
 
-    /// This worker's recorded trace, if trace recording was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.ledger.trace()
-    }
-
     /// Consumes the worker and returns its accounting.
-    pub fn into_accounting(self) -> (IoStats, Option<Trace>) {
+    pub fn into_accounting(self) -> IoStats {
         self.ledger.into_accounting()
     }
 }
@@ -445,7 +438,7 @@ impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         self.ledger.check_capacity(region.len())?;
         let (data, shard) = self.shared.lease(id, &region, true)?;
-        self.ledger.admit_load(id, &region, level);
+        self.ledger.admit_load(region.len(), level);
         self.note_shard(shard, region.len(), true);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
@@ -477,7 +470,7 @@ impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
         // a failed transfer moves no elements and counts no traffic.
         self.ledger.release(buf.len());
         let shard = outcome?;
-        self.ledger.note_store(buf.matrix_id(), buf.region(), level);
+        self.ledger.note_store(buf.len(), level);
         self.note_shard(shard, buf.len(), false);
         Ok(())
     }
@@ -632,22 +625,6 @@ mod tests {
                 assert_eq!(out[(row, col)], (col * n + row) as f64);
             }
         }
-    }
-
-    #[test]
-    fn worker_traces_record_their_own_transfers() {
-        let shared = SharedSlowMemory::new();
-        let id = shared.insert_dense(Matrix::<f64>::zeros(4, 4));
-        let mut w = shared.worker(MachineConfig::unlimited().record_trace(true));
-        w.set_phase("p");
-        let b = w.load(id, Region::rect(0, 0, 2, 2)).unwrap();
-        w.store(b).unwrap();
-        assert_eq!(w.phase(), "p");
-        let (stats, trace) = w.into_accounting();
-        let trace = trace.unwrap();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.events()[0].phase, "p");
-        assert_eq!(stats.volume.total(), 8);
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! A machine without data, for analyzing schedules by replaying them.
 //!
 //! [`SymbolicMachine`] has no matrices and its [`FastBuf`]s hold no data, but
-//! it keeps the capacity, residency, phase, trace and [`IoStats`] accounting
-//! through the same ledger as [`OocMachine`](crate::OocMachine). Replaying a
-//! schedule against it therefore yields exactly the `IoStats` and [`Trace`]
-//! an execution of that schedule leaves in a real machine, without moving a
-//! byte. Since it holds no data ([`MachineOps::holds_data`] is `false`),
-//! replayers skip compute kernels on it; any [`MatrixId`] is accepted, so
-//! schedules built against [`MatrixId::synthetic`] ids replay unchanged.
+//! it keeps the capacity, residency, phase and [`IoStats`] accounting through
+//! the same ledger as [`OocMachine`](crate::OocMachine). Replaying a schedule
+//! against it therefore yields exactly the `IoStats` an execution of that
+//! schedule leaves in a real machine, without moving a byte. Since it holds
+//! no data ([`MachineOps::holds_data`] is `false`), replayers skip compute
+//! kernels on it; any [`MatrixId`] is accepted, so schedules built against
+//! [`MatrixId::synthetic`] ids replay unchanged.
 //!
 //! `symla_sched` builds every analysis on this machine: dry runs read its
-//! stats, traces read its trace, and modelled time wraps it in a
-//! [`LatencyMachine`](crate::LatencyMachine).
+//! stats, modelled time wraps it in a
+//! [`LatencyMachine`](crate::LatencyMachine), and a synthesized run trace
+//! wraps it in the observing decorator of `symla_obs`.
 //!
 //! ```
 //! use symla_memory::{MachineConfig, MachineOps, MatrixId, Region, SymbolicMachine};
@@ -30,7 +31,6 @@ use crate::level::Level;
 use crate::machine::{FastBuf, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
-use crate::trace::Trace;
 use std::marker::PhantomData;
 use symla_matrix::kernels::FlopCount;
 use symla_matrix::Scalar;
@@ -43,7 +43,7 @@ pub struct SymbolicMachine<T: Scalar> {
 }
 
 impl<T: Scalar> SymbolicMachine<T> {
-    /// Creates a machine with the given capacity and trace configuration.
+    /// Creates a machine with the given capacity.
     pub fn new(config: MachineConfig) -> Self {
         Self {
             ledger: Ledger::new(config),
@@ -57,7 +57,7 @@ impl<T: Scalar> SymbolicMachine<T> {
     }
 
     /// Consumes the machine and returns its accounting.
-    pub fn into_accounting(self) -> (IoStats, Option<Trace>) {
+    pub fn into_accounting(self) -> IoStats {
         self.ledger.into_accounting()
     }
 }
@@ -69,7 +69,7 @@ impl<T: Scalar> MachineOps<T> for SymbolicMachine<T> {
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         self.ledger.check_capacity(region.len())?;
-        self.ledger.admit_load(id, &region, level);
+        self.ledger.admit_load(region.len(), level);
         Ok(FastBuf::from_parts(
             Vec::new(),
             id,
@@ -96,7 +96,7 @@ impl<T: Scalar> MachineOps<T> for SymbolicMachine<T> {
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
         self.ledger.release(buf.len());
-        self.ledger.note_store(buf.matrix_id(), buf.region(), level);
+        self.ledger.note_store(buf.len(), level);
         Ok(())
     }
 
@@ -138,10 +138,10 @@ mod tests {
     use symla_matrix::Matrix;
 
     /// The symbolic machine's ledger is the real machine's: the same
-    /// operations leave field-for-field equal stats and traces.
+    /// operations leave field-for-field equal stats.
     #[test]
     fn accounting_matches_the_simulated_machine() {
-        let config = MachineConfig::with_capacity(20).record_trace(true);
+        let config = MachineConfig::with_capacity(20);
         let mut real = OocMachine::<f64>::new(config);
         let id = real.insert_dense(Matrix::zeros(6, 6));
         let mut sym = SymbolicMachine::<f64>::new(config);
@@ -157,9 +157,7 @@ mod tests {
             m.store_to(a, Level::new(2)).unwrap();
         }
         assert_eq!(sym.stats().level(2).loads, 9);
-        let (stats, trace) = sym.into_accounting();
-        assert_eq!(real.stats(), &stats);
-        assert_eq!(real.trace(), trace.as_ref());
+        assert_eq!(real.stats(), &sym.into_accounting());
     }
 
     #[test]

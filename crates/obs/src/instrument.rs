@@ -2,8 +2,8 @@
 //!
 //! [`InstrumentedMachine`] wraps a counting machine exactly like
 //! [`LatencyMachine`](symla_memory::LatencyMachine) does — results,
-//! [`IoStats`](symla_memory::IoStats), traces and errors are those of the
-//! inner machine, untouched — and additionally emits one [`ObsRecord`] per
+//! [`IoStats`](symla_memory::IoStats) and errors are those of the inner
+//! machine, untouched — and additionally emits one [`ObsRecord`] per
 //! observable action into an [`ExecutionObserver`], stamped on both the real
 //! clock (the observer's epoch) and the [`ModelClock`] modelled timeline.
 //!

@@ -543,7 +543,7 @@ impl<'a> Reader<'a> {
 
     fn region(&mut self) -> Result<Region> {
         let tag = self.u8()?;
-        Ok(match tag {
+        let region = match tag {
             1 => Region::Rect {
                 row0: self.usize()?,
                 col0: self.usize()?,
@@ -572,7 +572,11 @@ impl<'a> Reader<'a> {
                 cols: self.usize()?,
             },
             other => return Err(self.corrupt(format!("unknown region tag {other}"))),
-        })
+        };
+        if len_overflows(&region) {
+            return Err(self.corrupt(format!("region {region} covers more than usize::MAX cells")));
+        }
+        Ok(region)
     }
 
     fn slice(&mut self) -> Result<BufSlice> {
@@ -668,6 +672,28 @@ impl<'a> Reader<'a> {
             },
             other => return Err(self.corrupt(format!("unknown step tag {other}"))),
         })
+    }
+}
+
+/// Whether [`Region::len`] of `region` overflows `usize`. A decoded region
+/// can carry any extents, and a length that wrapped to a small number would
+/// pass every capacity check.
+fn len_overflows(region: &Region) -> bool {
+    match region {
+        Region::Rect { rows, cols, .. } | Region::SymRect { rows, cols, .. } => {
+            rows.checked_mul(*cols).is_none()
+        }
+        Region::Rows { rows, cols, .. } | Region::SymRows { rows, cols, .. } => {
+            rows.len().checked_mul(*cols).is_none()
+        }
+        Region::SymLowerTriangle { size, .. } => size
+            .checked_add(1)
+            .and_then(|s| s.checked_mul(*size))
+            .is_none(),
+        Region::SymPairs { rows } => {
+            let k = rows.len();
+            k.checked_mul(k.saturating_sub(1)).is_none()
+        }
     }
 }
 
@@ -987,6 +1013,52 @@ mod tests {
             Schedule::<f64>::from_bytes(&bytes),
             Err(BinaryError::Corrupt { .. })
         ));
+    }
+
+    /// A region whose cell count wraps (here `rows * cols` wraps to 2, the
+    /// shape a one-byte flip of an encoded plan produced) is corrupt: its
+    /// `len()` would let it past every capacity check.
+    #[test]
+    fn rejects_regions_whose_cell_count_overflows() {
+        let wrapping = [
+            Region::SymRect {
+                row0: 9,
+                col0: 9,
+                rows: 2,
+                cols: (1 << 63) + 1,
+            },
+            Region::Rect {
+                row0: 0,
+                col0: 0,
+                rows: 1 << 32,
+                cols: 1 << 32,
+            },
+            Region::SymLowerTriangle {
+                start: 0,
+                size: 1 << 32,
+            },
+        ];
+        for region in wrapping {
+            let crafted = Schedule::<f64> {
+                groups: vec![TaskGroup {
+                    phase: None,
+                    steps: vec![
+                        Step::Load {
+                            matrix: MatrixId::synthetic(0),
+                            region: region.clone(),
+                            dst: 0,
+                            level: Level::default(),
+                        },
+                        Step::Discard { buf: 0 },
+                    ],
+                }],
+            };
+            let err = Schedule::<f64>::from_bytes(&crafted.to_bytes()).unwrap_err();
+            assert!(
+                matches!(err, BinaryError::Corrupt { .. }),
+                "{region}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -9,27 +9,26 @@
 //!   [`Engine::execute_planned`] run the schedule against any machine —
 //!   normally the serial [`OocMachine`](symla_memory::OocMachine), where
 //!   every load/store is a counted, capacity-checked transfer and every
-//!   compute step runs its block kernel on the resident buffers. The eight
+//!   compute step runs its block kernel on the resident buffers. The seven
 //!   out-of-core algorithms' `*_execute` wrappers are serial executions
 //!   through these entry points.
-//! * [`Engine::dry_run`] / [`Engine::dry_run_with`] and [`Engine::trace`] /
-//!   [`Engine::trace_with`] replay the same loop against a data-less
-//!   [`SymbolicMachine`], which keeps the capacity, residency, phase, trace
-//!   and [`IoStats`] accounting through the same ledger as `OocMachine` but
-//!   holds no data, so compute steps are skipped
+//! * [`Engine::dry_run`] / [`Engine::dry_run_with`] replay the same loop
+//!   against a data-less [`SymbolicMachine`], which keeps the capacity,
+//!   residency, phase and [`IoStats`] accounting through the same ledger as
+//!   `OocMachine` but holds no data, so compute steps are skipped
 //!   ([`MachineOps::holds_data`]). A dry run therefore produces exactly the
-//!   `IoStats` (and a trace exactly the [`Trace`]) an execution of the same
-//!   schedule leaves in a machine — by construction.
+//!   `IoStats` an execution of the same schedule leaves in a machine — by
+//!   construction.
 //! * Decorators change what a replay measures:
 //!   [`LatencyMachine`](symla_memory::LatencyMachine) prices it on a
-//!   modelled clock and [`InstrumentedMachine`] emits a typed event stream;
-//!   wrapped around a `SymbolicMachine` they are the static analyses of
-//!   [`crate::timing`].
+//!   modelled clock and [`InstrumentedMachine`] records a typed event
+//!   stream, the [`RunTrace`](symla_obs::RunTrace); wrapped around a
+//!   `SymbolicMachine` they are the static analyses of [`crate::timing`].
 //! * [`Engine::execute_parallel`] distributes the schedule's [`TaskGroup`]s
 //!   over `P` workers of a [`SharedSlowMemory`] through a work-stealing
 //!   queue of [`std::thread::scope`] threads. Each worker is a private,
-//!   capacity-checked fast memory with its own [`IoStats`] / [`Trace`]; the
-//!   groups it replays run through the same per-group code path as a serial
+//!   capacity-checked fast memory with its own [`IoStats`]; the groups it
+//!   replays run through the same per-group code path as a serial
 //!   execution.
 //!
 //! The `*_with` entry points take an [`EngineConfig`]: with
@@ -65,7 +64,7 @@ use symla_matrix::kernels::views::{
 use symla_matrix::{MatrixError, Scalar};
 use symla_memory::{
     FastBuf, IoStats, MachineConfig, MachineModel, MachineOps, MemoryError, SharedSlowMemory,
-    SymbolicMachine, Trace,
+    SymbolicMachine,
 };
 use symla_obs::{InstrumentedMachine, TraceRecorder};
 
@@ -219,8 +218,6 @@ pub struct WorkerRun {
     /// The worker's I/O statistics: exactly the dry-run accounting of the
     /// task groups in `groups` (asserted by the equivalence tests).
     pub stats: IoStats,
-    /// The worker's transfer trace, if the worker config enabled recording.
-    pub trace: Option<Trace>,
     /// Indices (into [`Schedule::groups`]) of the task groups this worker
     /// completed, in the order it claimed them.
     pub groups: Vec<usize>,
@@ -716,11 +713,11 @@ impl Engine {
     ///   not to the label of the textually preceding group (which may be
     ///   replaying on a different worker).
     ///
-    /// On success, returns one [`WorkerRun`] per worker (its [`IoStats`],
-    /// optional [`Trace`] and the groups it completed). On failure, the
-    /// first error aborts the run: other workers finish the group they are
-    /// on and stop claiming; the returned [`ParallelError`] carries the
-    /// error, the failing worker/group and every worker's accounting.
+    /// On success, returns one [`WorkerRun`] per worker (its [`IoStats`] and
+    /// the groups it completed). On failure, the first error aborts the run:
+    /// other workers finish the group they are on and stop claiming; the
+    /// returned [`ParallelError`] carries the error, the failing
+    /// worker/group and every worker's accounting.
     ///
     /// ```
     /// use symla_matrix::Matrix;
@@ -852,7 +849,7 @@ impl Engine {
         T: Scalar,
         M: MachineOps<T>,
         B: Fn(usize) -> M + Sync,
-        F: Fn(M) -> (IoStats, Option<Trace>) + Sync,
+        F: Fn(M) -> IoStats + Sync,
     {
         if workers == 0 {
             return Err(ParallelError {
@@ -968,10 +965,8 @@ impl Engine {
                         for (_, buf) in prefetched {
                             let _ = machine.discard(buf);
                         }
-                        let (stats, trace) = finish(machine);
                         WorkerRun {
-                            stats,
-                            trace,
+                            stats: finish(machine),
                             groups,
                         }
                     })
@@ -1299,67 +1294,11 @@ impl Engine {
         config: &EngineConfig,
         capacity: Option<usize>,
     ) -> IoStats {
-        Self::replay_symbolic(schedule, default_phase, config, capacity, false)
-            .into_accounting()
-            .0
-    }
-
-    /// Synthesizes the transfer trace of `schedule`: the returned [`Trace`]
-    /// equals what a machine with trace recording enabled would record while
-    /// executing the schedule.
-    ///
-    /// ```
-    /// use symla_memory::{Direction, MatrixId, Region};
-    /// use symla_sched::{Engine, ScheduleBuilder};
-    ///
-    /// let id = MatrixId::synthetic(7);
-    /// let mut b = ScheduleBuilder::<f64>::new();
-    /// let buf = b.load(id, Region::rect(0, 0, 2, 4));
-    /// b.store(buf);
-    /// let trace = Engine::trace(&b.finish(), "main");
-    /// assert_eq!(trace.len(), 2);
-    /// assert_eq!(trace.events()[0].direction, Direction::Load);
-    /// assert_eq!(trace.events()[1].direction, Direction::Store);
-    /// assert_eq!(trace.events()[1].resident_after, 0);
-    /// ```
-    pub fn trace<T: Scalar>(schedule: &Schedule<T>, default_phase: &str) -> Trace {
-        Self::trace_with(schedule, default_phase, &EngineConfig::default(), None)
-    }
-
-    /// [`Engine::trace`] of the **prefetching** replay: the synthesized
-    /// stream equals what a trace-recording machine of capacity `capacity`
-    /// captures during [`Engine::execute_with`] — prefetched loads appear at
-    /// the group boundary where they are issued (with the residency they
-    /// observe there), attributed to the phase of their consuming group.
-    pub fn trace_with<T: Scalar>(
-        schedule: &Schedule<T>,
-        default_phase: &str,
-        config: &EngineConfig,
-        capacity: Option<usize>,
-    ) -> Trace {
-        Self::replay_symbolic(schedule, default_phase, config, capacity, true)
-            .into_accounting()
-            .1
-            .unwrap_or_default()
-    }
-
-    /// Replays `schedule` on a [`SymbolicMachine`] of unchecked capacity,
-    /// under the prefetch plan a machine of `capacity` would use at
-    /// `config`'s lookahead. A step the replay rejects ends the accounting
-    /// there.
-    fn replay_symbolic<T: Scalar>(
-        schedule: &Schedule<T>,
-        default_phase: &str,
-        config: &EngineConfig,
-        capacity: Option<usize>,
-        record_trace: bool,
-    ) -> SymbolicMachine<T> {
-        let mut machine =
-            SymbolicMachine::new(MachineConfig::unlimited().record_trace(record_trace));
+        let mut machine = SymbolicMachine::new(MachineConfig::unlimited());
         machine.set_phase(default_phase);
         let plan = PrefetchPlan::plan(schedule, config.lookahead, capacity);
         let _ = Self::execute_planned(&mut machine, schedule, &plan);
-        machine
+        machine.into_accounting()
     }
 }
 
@@ -1367,9 +1306,11 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::ir::ScheduleBuilder;
+    use crate::timing::modelled_run_trace;
     use symla_matrix::kernels::FlopCount;
     use symla_matrix::Matrix;
     use symla_memory::{Level, MachineConfig, MatrixId, OocMachine, Region};
+    use symla_obs::{EventKind, RunTrace};
 
     /// A tiny rank-1 update schedule used by the mode-equivalence tests.
     fn rank1_schedule(id: MatrixId) -> Schedule<f64> {
@@ -1392,14 +1333,13 @@ mod tests {
     #[test]
     fn execute_dry_run_and_trace_agree() {
         let a = Matrix::<f64>::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(16).record_trace(true));
+        let mut machine = OocMachine::new(MachineConfig::with_capacity(16));
         let id = machine.insert_dense(a.clone());
         let schedule = rank1_schedule(id);
 
         Engine::execute(&mut machine, &schedule).unwrap();
         let stats = machine.stats().clone();
         assert_eq!(stats, Engine::dry_run(&schedule, "main"));
-        assert_eq!(machine.trace().unwrap(), &Engine::trace(&schedule, "main"));
         assert_eq!(stats.volume.loads, 12);
         assert_eq!(stats.volume.stores, 9);
         assert_eq!(stats.peak_resident, 12);
@@ -1441,9 +1381,7 @@ mod tests {
         let schedule = b.finish();
         let stats = Engine::dry_run(&schedule, "lbc:trailing");
         assert_eq!(stats.phase("lbc:trailing").loads, 6);
-        let trace = Engine::trace(&schedule, "lbc:trailing");
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.events()[0].phase, "lbc:trailing");
+        assert_eq!(stats.phase("lbc:trailing").stores, 6);
     }
 
     #[test]
@@ -1677,20 +1615,30 @@ mod tests {
         let schedule = diagonal_block_schedule(MatrixId::synthetic(0), n, 4);
         let shared = SharedSlowMemory::new();
         shared.insert_dense(a);
-        let runs = Engine::execute_parallel(
+        let (model, recorder) = (MachineModel::dram(), TraceRecorder::new());
+        let runs = Engine::execute_parallel_traced(
             &shared,
             &schedule,
             1,
-            MachineConfig::with_capacity(20).record_trace(true),
+            MachineConfig::with_capacity(20),
             "main",
+            &EngineConfig::default(),
+            &model,
+            &recorder,
         )
         .unwrap();
-        // One worker claims the groups in order, so its trace is the serial
-        // trace of the whole schedule.
-        assert_eq!(
-            runs[0].trace.as_ref().unwrap(),
-            &Engine::trace(&schedule, "main")
-        );
+        // One worker claims the groups in order, so apart from its claims
+        // it records the event stream of the serial replay.
+        let kinds = |trace: RunTrace| -> Vec<EventKind> {
+            let events = trace.events().iter().map(|e| e.kind);
+            events
+                .filter(|k| !matches!(k, EventKind::Claim { .. }))
+                .collect()
+        };
+        let serial = kinds(modelled_run_trace(&schedule, &model, 0, None));
+        // Per group: its span, two loads, the kernel, flops, discard, store.
+        assert_eq!(serial.len(), 3 * 8);
+        assert_eq!(kinds(recorder.finish()), serial);
         assert_eq!(runs[0].groups, vec![0, 1, 2]);
     }
 
@@ -1884,26 +1832,20 @@ mod tests {
         let schedule = diagonal_block_schedule(MatrixId::synthetic(0), n, 4);
 
         // Reference: plain replay.
-        let mut plain = OocMachine::new(MachineConfig::with_capacity(40).record_trace(true));
+        let mut plain = OocMachine::new(MachineConfig::with_capacity(40));
         let plain_id = plain.insert_dense(a.clone());
         Engine::execute(&mut plain, &schedule).unwrap();
         let expected = plain.take_dense(plain_id).unwrap();
 
         for lookahead in [1usize, 2, 5] {
             let config = EngineConfig::with_lookahead(lookahead);
-            let mut machine = OocMachine::new(MachineConfig::with_capacity(40).record_trace(true));
+            let mut machine = OocMachine::new(MachineConfig::with_capacity(40));
             let id = machine.insert_dense(a.clone());
             Engine::execute_with(&mut machine, &schedule, &config).unwrap();
 
-            // execute == dry-run == trace, at the same config and capacity.
+            // execute == dry-run, at the same config and capacity.
             let dry = Engine::dry_run_with(&schedule, "main", &config, Some(40));
             assert_eq!(machine.stats(), &dry, "lookahead {lookahead}");
-            let synthesized = Engine::trace_with(&schedule, "main", &config, Some(40));
-            assert_eq!(
-                machine.trace().unwrap(),
-                &synthesized,
-                "lookahead {lookahead}"
-            );
 
             // Overlap is real, volumes and phases unchanged, capacity held.
             let plain_dry = Engine::dry_run(&schedule, "main");

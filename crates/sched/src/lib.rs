@@ -20,7 +20,7 @@
 //!   [`ir::TaskGroup`]s, with a compact textual dump
 //!   ([`ir::Schedule::dump`]);
 //! * [`engine`] — the generic engine replaying a schedule against the
-//!   machine model of `symla-memory` in execute, dry-run or trace mode, and
+//!   machine model of `symla-memory` in execute or dry-run mode, and
 //!   distributing independent task groups over the workers of a shared slow
 //!   memory in execute-parallel mode; every mode has a prefetching variant
 //!   (`*_with` + [`engine::EngineConfig`]) that double-buffers the load

@@ -11,7 +11,7 @@
 //!
 //! [`PrefetchPlan::plan`] decides, ahead of any replay, which loads are
 //! hoisted and to which group boundary. The plan is deterministic, so the
-//! prefetching execute / dry-run / trace modes of
+//! prefetching execute and dry-run modes of
 //! [`Engine`](crate::engine::Engine) agree step for step (the same
 //! equivalence contract the non-prefetching modes already satisfy).
 //!

@@ -87,8 +87,8 @@ pub fn modelled_time_planned<T: Scalar>(
 }
 
 /// Synthesizes the [`RunTrace`] a serial [`Engine::execute_with`] on an
-/// [`InstrumentedMachine`] would record, without executing anything — the
-/// observability analogue of [`Engine::trace`].
+/// [`InstrumentedMachine`] would record, without executing anything: the
+/// trace of a schedule that has not run.
 ///
 /// The replay is the engine's own, against a [`SymbolicMachine`] wrapped in
 /// an `InstrumentedMachine`, so the synthesized events match an executed

@@ -10,7 +10,8 @@ use symla_baselines::{
     ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
 };
 use symla_matrix::kernels::FlopCount;
-use symla_sched::{BinaryError, BufSlice, ComputeOp, PrefetchPlan, FORMAT_VERSION};
+use symla_memory::MemoryError;
+use symla_sched::{BinaryError, BufSlice, ComputeOp, EngineError, PrefetchPlan, FORMAT_VERSION};
 
 /// The eight schedule builders on small, structurally interesting instances.
 fn builder_schedules() -> Vec<(&'static str, Schedule<f64>)> {
@@ -312,6 +313,47 @@ fn leveled_encoding_survives_the_corruption_sweep() {
 /// prefix, bad magic, a future format version, a scalar-width mismatch and
 /// trailing garbage all report the matching [`BinaryError`] variant, and
 /// single-byte corruption anywhere never panics.
+/// A decoded load whose region end overflows `usize` is out of bounds for
+/// the serial machine and for a parallel worker alike: a typed error with
+/// nothing left resident or leased, not a wrapped index into the matrix.
+#[test]
+fn decoded_regions_whose_end_overflows_replay_as_typed_errors() {
+    let out_of_bounds = |e: &EngineError| {
+        matches!(
+            e,
+            EngineError::Memory(MemoryError::RegionOutOfBounds { .. })
+        )
+    };
+    for region in [
+        Region::rect(usize::MAX, 0, 2, 1),
+        Region::Rows {
+            rows: vec![0],
+            col0: usize::MAX,
+            cols: 2,
+        },
+    ] {
+        let mut b = ScheduleBuilder::<f64>::new();
+        let buf = b.load(MatrixId::synthetic(0), region.clone());
+        b.store(buf);
+        let schedule = Schedule::<f64>::from_bytes(&b.finish().to_bytes()).unwrap();
+
+        let mut machine = OocMachine::with_capacity(16);
+        let id = machine.insert_dense(Matrix::zeros(4, 4));
+        let err = Engine::execute(&mut machine, &schedule).unwrap_err();
+        assert!(out_of_bounds(&err), "{region}: {err}");
+        assert_eq!(machine.resident(), 0);
+        assert!(machine.take_dense(id).is_ok(), "{region}: no lease left");
+
+        let shared = SharedSlowMemory::new();
+        let id = shared.insert_dense(Matrix::<f64>::zeros(4, 4));
+        let config = MachineConfig::with_capacity(16);
+        let err = Engine::execute_parallel(&shared, &schedule, 1, config, "main").unwrap_err();
+        assert!(out_of_bounds(&err.error), "{region}: {err}");
+        assert_eq!(err.runs[0].stats.volume.total(), 0);
+        assert!(shared.take_dense(id).is_ok(), "{region}: no lease left");
+    }
+}
+
 #[test]
 fn corruption_reports_typed_errors_and_never_panics() {
     let (_, schedule) = builder_schedules().swap_remove(0);

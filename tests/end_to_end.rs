@@ -1,7 +1,11 @@
 //! Cross-crate integration tests: the full pipeline (generators → machine
 //! model → out-of-core schedules → verification against reference kernels).
 
+mod common;
+
+use std::collections::HashMap;
 use symla::prelude::*;
+use symla_baselines::ooc_syrk_schedule;
 
 #[test]
 fn syrk_all_algorithms_agree_with_reference_and_bounds() {
@@ -125,36 +129,39 @@ fn direct_machine_usage_and_phase_attribution() {
     assert!(kernels::cholesky_residual(&a, &l) < 1e-10);
 }
 
+/// An executed run's trace accounts for every transfer its machine counted.
 #[test]
 fn trace_recording_covers_every_transfer() {
     let n = 40;
     let m = 10;
     let s = 24;
     let a = generate::random_matrix_seeded::<f64>(n, m, 55);
-    let plan = TbsPlan::for_memory(s).unwrap();
+    let mut c = SymMatrix::zeros(n);
+    let (model, recorder) = (MachineModel::dram(), TraceRecorder::new());
+    let options = RunOptions::new().traced(&model, &recorder);
+    let run = syrk_out_of_core_with(&a, &mut c, 1.0, s, SyrkAlgorithm::Tbs, &options).unwrap();
 
-    let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(s).record_trace(true));
-    let a_id = machine.insert_dense(a);
-    let c_id = machine.insert_symmetric(SymMatrix::zeros(n));
-    symla_core::tbs_execute(
-        &mut machine,
-        &PanelRef::dense(a_id, n, m),
-        &SymWindowRef::full(c_id, n),
-        1.0,
-        &plan,
-    )
-    .unwrap();
-
-    let trace = machine.trace().unwrap();
-    assert_eq!(trace.total_loaded(), machine.stats().volume.loads);
-    assert_eq!(trace.total_stored(), machine.stats().volume.stores);
-    assert!(trace.peak_resident() <= s);
-    assert!(!trace.is_empty());
+    let trace = run.trace.as_ref().unwrap();
+    let stats = &run.report.stats;
+    let (mut loaded, mut stored, mut transfers) = (0u64, 0u64, 0u64);
+    for record in trace.events() {
+        match record.kind {
+            EventKind::Load { elements, .. } => loaded += elements as u64,
+            EventKind::Store { elements, .. } => stored += elements as u64,
+            _ => continue,
+        }
+        transfers += 1;
+    }
+    assert_eq!(loaded, stats.volume.loads);
+    assert_eq!(stored, stats.volume.stores);
+    assert_eq!(transfers, stats.load_events + stats.store_events);
+    assert!(stats.peak_resident <= s);
 }
 
 /// Section 5.1.3: "the TBS algorithm loads each entry of C exactly once".
-/// Verified from the transfer trace: the load traffic attributed to the C
-/// matrix equals its packed size, for both TBS and the square-block baseline.
+/// Verified from the schedule's transfers: the load traffic attributed to
+/// the C matrix equals its packed size, for both TBS and the square-block
+/// baseline.
 #[test]
 fn tbs_and_square_blocks_load_each_c_entry_exactly_once() {
     let n = 60;
@@ -163,46 +170,34 @@ fn tbs_and_square_blocks_load_each_c_entry_exactly_once() {
     let a = generate::random_matrix_seeded::<f64>(n, m, 77);
 
     for use_tbs in [true, false] {
-        let mut machine =
-            OocMachine::<f64>::new(MachineConfig::with_capacity(s).record_trace(true));
+        let mut machine = OocMachine::<f64>::with_capacity(s);
         let a_id = machine.insert_dense(a.clone());
         let c_id = machine.insert_symmetric(SymMatrix::zeros(n));
         let a_ref = PanelRef::dense(a_id, n, m);
         let c_ref = SymWindowRef::full(c_id, n);
-        if use_tbs {
+        let schedule = if use_tbs {
             let plan = TbsPlan::for_memory(s).unwrap();
             assert!(plan.applicable(n));
-            symla_core::tbs_execute(&mut machine, &a_ref, &c_ref, 1.0, &plan).unwrap();
+            tbs_schedule(&a_ref, &c_ref, 1.0, &plan).unwrap()
         } else {
             let plan = OocSyrkPlan::for_memory(s).unwrap();
-            ooc_syrk_execute(&mut machine, &a_ref, &c_ref, 1.0, &plan).unwrap();
+            ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &plan).unwrap()
+        };
+        Engine::execute(&mut machine, &schedule).unwrap();
+
+        // Elements moved per (matrix, is-store) by the schedule's transfers.
+        let mut moved: HashMap<(MatrixId, bool), usize> = HashMap::new();
+        for t in common::transfers(&schedule) {
+            *moved.entry((t.matrix, t.store)).or_default() += t.region.len();
         }
-        let trace = machine.trace().unwrap();
-        let c_loads: usize = trace
-            .events()
-            .iter()
-            .filter(|e| e.direction == symla::memory::Direction::Load && e.matrix == c_id.raw())
-            .map(|e| e.elements())
-            .sum();
-        let c_stores: usize = trace
-            .events()
-            .iter()
-            .filter(|e| e.direction == symla::memory::Direction::Store && e.matrix == c_id.raw())
-            .map(|e| e.elements())
-            .sum();
         // every element of the packed lower triangle is loaded exactly once
-        // and written back exactly once
-        assert_eq!(c_loads, n * (n + 1) / 2, "tbs={use_tbs}");
-        assert_eq!(c_stores, n * (n + 1) / 2, "tbs={use_tbs}");
+        // and written back exactly once, and A is never written back
+        assert_eq!(moved[&(c_id, false)], n * (n + 1) / 2, "tbs={use_tbs}");
+        assert_eq!(moved[&(c_id, true)], n * (n + 1) / 2, "tbs={use_tbs}");
+        assert!(!moved.contains_key(&(a_id, true)), "tbs={use_tbs}");
         // and the remaining loads are all loads of A
-        let a_loads: usize = trace
-            .events()
-            .iter()
-            .filter(|e| e.direction == symla::memory::Direction::Load && e.matrix == a_id.raw())
-            .map(|e| e.elements())
-            .sum();
         assert_eq!(
-            a_loads as u64 + c_loads as u64,
+            (moved[&(a_id, false)] + moved[&(c_id, false)]) as u64,
             machine.stats().volume.loads,
             "tbs={use_tbs}"
         );

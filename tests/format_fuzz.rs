@@ -4,7 +4,9 @@
 //! into *some* well-formed schedule or reports a typed [`BinaryError`] — and
 //! the text `dump()` path survives the same treatment through `parse()`.
 //! Whenever a corrupted input does decode, re-encoding it must round-trip,
-//! i.e. the decoder never fabricates a schedule it cannot itself represent.
+//! i.e. the decoder never fabricates a schedule it cannot itself represent,
+//! and replaying it at lookahead 0 against the builder's operands must end
+//! in `Ok` or a typed error with nothing left resident.
 //!
 //! This extends the fixed corruption cases of `binary_roundtrip.rs` with a
 //! deterministic (seeded) randomized sweep across every builder's encoding.
@@ -13,37 +15,76 @@ use symla::prelude::*;
 use symla_baselines::{
     ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
 };
-use symla_matrix::generate::seeded_rng;
-use symla_sched::PrefetchPlan;
+use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded, seeded_rng};
+use symla_sched::{EngineError, PrefetchPlan};
 
-/// The eight schedule builders on small, structurally interesting instances.
-fn builder_schedules() -> Vec<(&'static str, Schedule<f64>)> {
+/// A slow-memory operand of a builder's instance.
+enum Operand {
+    Dense(Matrix<f64>),
+    Sym(SymMatrix<f64>),
+}
+
+/// One builder's schedule on a small, structurally interesting instance,
+/// with the operands it was built against (in synthetic-id order) and the
+/// fast-memory capacity it was planned for.
+struct Instance {
+    name: &'static str,
+    schedule: Schedule<f64>,
+    operands: Vec<Operand>,
+    capacity: usize,
+}
+
+/// The builders' instances.
+fn instances() -> Vec<Instance> {
     let (n, m, s) = (30, 5, 40);
     let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
     let window = SymWindowRef::full(MatrixId::synthetic(0), n);
+    let update = || {
+        vec![
+            Operand::Dense(random_matrix_seeded(n, m, 1)),
+            Operand::Sym(random_spd_seeded(n, 2)),
+        ]
+    };
+    let factor = || vec![Operand::Sym(random_spd_seeded(n, 3))];
+    let instance = |name, schedule, operands, capacity| Instance {
+        name,
+        schedule,
+        operands,
+        capacity,
+    };
     vec![
-        (
+        instance(
             "ooc_syrk",
             ooc_syrk_schedule(&a_ref, &c_ref, 1.5, &OocSyrkPlan::for_memory(s).unwrap()).unwrap(),
+            update(),
+            s,
         ),
-        (
+        instance(
             "tbs",
             tbs_schedule(&a_ref, &c_ref, -0.5, &TbsPlan::for_memory(s).unwrap()).unwrap(),
+            update(),
+            s,
         ),
-        (
+        instance(
             "tbs_tiled",
             tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_problem(s, n).unwrap()).unwrap(),
+            update(),
+            s,
         ),
-        (
+        instance(
             "lbc",
             lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+            factor(),
+            s,
         ),
-        (
+        instance(
             "ooc_chol",
             ooc_chol_schedule(&window, &OocCholPlan::for_memory(s).unwrap()),
+            factor(),
+            s,
         ),
-        (
+        instance(
             "ooc_trsm",
             ooc_trsm_schedule(
                 &SymWindowRef::full(MatrixId::synthetic(0), 8),
@@ -51,8 +92,13 @@ fn builder_schedules() -> Vec<(&'static str, Schedule<f64>)> {
                 &OocTrsmPlan::for_memory(24).unwrap(),
             )
             .unwrap(),
+            vec![
+                Operand::Sym(random_spd_seeded(8, 4)),
+                Operand::Dense(random_matrix_seeded(9, 8, 5)),
+            ],
+            24,
         ),
-        (
+        instance(
             "ooc_gemm",
             ooc_gemm_schedule(
                 &PanelRef::dense(MatrixId::synthetic(0), 9, 7),
@@ -62,27 +108,37 @@ fn builder_schedules() -> Vec<(&'static str, Schedule<f64>)> {
                 &OocGemmPlan::for_memory(35).unwrap(),
             )
             .unwrap(),
+            vec![
+                Operand::Dense(random_matrix_seeded(9, 7, 6)),
+                Operand::Dense(random_matrix_seeded(7, 11, 7)),
+                Operand::Dense(random_matrix_seeded(9, 11, 8)),
+            ],
+            35,
         ),
-        (
+        instance(
             "ooc_lu",
             ooc_lu_schedule(
                 &PanelRef::dense(MatrixId::synthetic(0), 12, 12),
                 &OocLuPlan::for_memory(35).unwrap(),
             )
             .unwrap(),
+            vec![Operand::Dense(random_matrix_seeded(12, 12, 9))],
+            35,
         ),
     ]
 }
 
 /// Decoding `bytes` must either fail with a typed error or produce a
 /// schedule the encoder can reproduce exactly (no "unrepresentable"
-/// schedules leak out of the decoder).
-fn assert_decode_is_total(name: &str, tag: &str, bytes: &[u8]) {
+/// schedules leak out of the decoder) and that replays cleanly.
+fn assert_decode_is_total(inst: &Instance, tag: &str, bytes: &[u8]) {
+    let name = inst.name;
     if let Ok(decoded) = Schedule::<f64>::from_bytes(bytes) {
         let reencoded = decoded.to_bytes();
         let again = Schedule::<f64>::from_bytes(&reencoded)
             .unwrap_or_else(|e| panic!("{name}/{tag}: re-encode of accepted input failed: {e}"));
         assert_eq!(again, decoded, "{name}/{tag}: accepted input round-trips");
+        let _ = assert_replay_is_clean(inst, tag, &decoded);
     }
     // The plan-carrying decoder must be equally total on the same input.
     if let Ok((decoded, plan)) = Schedule::<f64>::from_bytes_with_plan(bytes) {
@@ -97,15 +153,43 @@ fn assert_decode_is_total(name: &str, tag: &str, bytes: &[u8]) {
     }
 }
 
+/// Replays an accepted input at lookahead 0 on a fresh machine holding the
+/// instance's operands: the replay returns `Ok` or a typed error (a panic
+/// fails the test) and leaves nothing resident either way.
+fn assert_replay_is_clean(
+    inst: &Instance,
+    tag: &str,
+    schedule: &Schedule<f64>,
+) -> Result<(), EngineError> {
+    let mut machine = OocMachine::with_capacity(inst.capacity);
+    for operand in &inst.operands {
+        match operand {
+            Operand::Dense(m) => machine.insert_dense(m.clone()),
+            Operand::Sym(s) => machine.insert_symmetric(s.clone()),
+        };
+    }
+    let outcome = Engine::execute(&mut machine, schedule);
+    assert_eq!(
+        machine.resident(),
+        0,
+        "{}/{tag}: replay ({outcome:?}) left elements resident",
+        inst.name
+    );
+    outcome
+}
+
 /// Random single- and multi-byte mutations of every builder's encoding
 /// never panic; accepted mutants round-trip.
 #[test]
 fn random_mutations_never_panic() {
     let mut rng = seeded_rng(0xF0221);
-    for (name, schedule) in builder_schedules() {
+    for inst in instances() {
+        let schedule = &inst.schedule;
+        // The unmutated instance replays, so the mutants' errors are theirs.
+        assert_replay_is_clean(&inst, "seed", schedule).unwrap();
         for bytes in [
             schedule.to_bytes(),
-            schedule.to_bytes_with_plan(&PrefetchPlan::plan(&schedule, 2, Some(64))),
+            schedule.to_bytes_with_plan(&PrefetchPlan::plan(schedule, 2, Some(64))),
         ] {
             for round in 0..200 {
                 let mut mutated = bytes.clone();
@@ -115,7 +199,7 @@ fn random_mutations_never_panic() {
                     let pos = (rng.next_u64() % bytes.len() as u64) as usize;
                     mutated[pos] = rng.next_u64() as u8;
                 }
-                assert_decode_is_total(name, &format!("mutate round {round}"), &mutated);
+                assert_decode_is_total(&inst, &format!("mutate round {round}"), &mutated);
             }
         }
     }
@@ -127,18 +211,18 @@ fn random_mutations_never_panic() {
 #[test]
 fn random_truncations_and_extensions_never_panic() {
     let mut rng = seeded_rng(0xF0222);
-    for (name, schedule) in builder_schedules() {
-        let bytes = schedule.to_bytes();
+    for inst in instances() {
+        let bytes = inst.schedule.to_bytes();
         for round in 0..200 {
             let cut = (rng.next_u64() % (bytes.len() as u64 + 1)) as usize;
-            assert_decode_is_total(name, &format!("truncate to {cut}"), &bytes[..cut]);
+            assert_decode_is_total(&inst, &format!("truncate to {cut}"), &bytes[..cut]);
 
             let mut extended = bytes.clone();
             let tail = (rng.next_u64() % 16) as usize + 1;
             for _ in 0..tail {
                 extended.push(rng.next_u64() as u8);
             }
-            assert_decode_is_total(name, &format!("extend round {round}"), &extended);
+            assert_decode_is_total(&inst, &format!("extend round {round}"), &extended);
         }
     }
 }
@@ -149,13 +233,13 @@ fn random_truncations_and_extensions_never_panic() {
 #[test]
 fn random_splices_never_panic() {
     let mut rng = seeded_rng(0xF0223);
-    let schedules = builder_schedules();
-    let encodings: Vec<(&str, Vec<u8>)> = schedules
+    let instances = instances();
+    let encodings: Vec<(&Instance, Vec<u8>)> = instances
         .iter()
-        .map(|(name, s)| (*name, s.to_bytes()))
+        .map(|inst| (inst, inst.schedule.to_bytes()))
         .collect();
     for round in 0..400 {
-        let (a_name, a) = &encodings[(rng.next_u64() % encodings.len() as u64) as usize];
+        let (a_inst, a) = &encodings[(rng.next_u64() % encodings.len() as u64) as usize];
         let (_, b) = &encodings[(rng.next_u64() % encodings.len() as u64) as usize];
         let mut spliced = a.clone();
         let dst = (rng.next_u64() % a.len() as u64) as usize;
@@ -167,7 +251,7 @@ fn random_splices_never_panic() {
             }
             spliced[dst + i] = b[src + i];
         }
-        assert_decode_is_total(a_name, &format!("splice round {round}"), &spliced);
+        assert_decode_is_total(a_inst, &format!("splice round {round}"), &spliced);
     }
 }
 
@@ -180,8 +264,9 @@ fn random_splices_never_panic() {
 fn leveled_encodings_fuzz_like_flat_ones() {
     use symla_memory::Level;
     let mut rng = seeded_rng(0xF0225);
-    for (name, schedule) in builder_schedules() {
-        let leveled = schedule.with_transfer_level(Level::new(3));
+    for inst in instances() {
+        let name = inst.name;
+        let leveled = inst.schedule.with_transfer_level(Level::new(3));
         let bytes = leveled.to_bytes();
         let text = leveled.dump();
         for round in 0..150 {
@@ -192,11 +277,11 @@ fn leveled_encodings_fuzz_like_flat_ones() {
                 let pos = (rng.next_u64() % bytes.len() as u64) as usize;
                 mutated[pos] = rng.next_u64() as u8;
             }
-            assert_decode_is_total(name, &format!("leveled mutate round {round}"), &mutated);
+            assert_decode_is_total(&inst, &format!("leveled mutate round {round}"), &mutated);
 
             // Binary: random truncation.
             let cut = (rng.next_u64() % (bytes.len() as u64 + 1)) as usize;
-            assert_decode_is_total(name, &format!("leveled truncate to {cut}"), &bytes[..cut]);
+            assert_decode_is_total(&inst, &format!("leveled truncate to {cut}"), &bytes[..cut]);
 
             // Text: mutate a handful of characters of the v2 dump. The
             // replacement alphabet includes `@` and `l` so the ` @l3`
@@ -228,8 +313,9 @@ fn leveled_encodings_fuzz_like_flat_ones() {
 #[test]
 fn text_dump_fuzz_never_panics() {
     let mut rng = seeded_rng(0xF0224);
-    for (name, schedule) in builder_schedules() {
-        let text = schedule.dump();
+    for inst in instances() {
+        let name = inst.name;
+        let text = inst.schedule.dump();
         let lines: Vec<&str> = text.lines().collect();
         for round in 0..200 {
             let mutated: String = match round % 4 {

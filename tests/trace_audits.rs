@@ -1,14 +1,14 @@
-//! Trace-based audits of the paper's per-matrix invariants.
+//! Transfer-stream audits of the paper's per-matrix invariants.
 //!
-//! `Engine::trace` synthesizes the exact transfer stream of a schedule
-//! without executing it (no data, no machine), so instances can be larger
-//! than anything the execute-mode tests touch. The audits hold for the
-//! **seed** schedule of every algorithm *and* for its optimized form under
-//! both stock pass pipelines:
+//! A schedule's transfer stream is read off its steps without executing it
+//! (no data, no machine), so instances can be larger than anything the
+//! execute-mode tests touch. The audits hold for the **seed** schedule of
+//! every algorithm *and* for its optimized form under both stock pass
+//! pipelines:
 //!
-//! * **coherence** — the trace re-accumulates to the dry-run `IoStats`
-//!   (volumes and event counts), and no post-transfer residency exceeds the
-//!   dry run's peak;
+//! * **coherence** — the stream read off the steps, and the `RunTrace`
+//!   that `modelled_run_trace` synthesizes, both re-accumulate to the
+//!   dry-run `IoStats` (volumes and event counts);
 //! * **per-matrix exactness** — each lower-triangle entry of the SYRK
 //!   output `C` is loaded exactly once and stored exactly once, `A` is
 //!   never written back, and both operands are fully covered;
@@ -17,28 +17,30 @@
 //!   multiplications per transferred element, i.e. `Q_SYRK ≥ N²M/(√2·√S)`
 //!   and `Q_Chol ≥ N³/(3·√2·√S)`), with the multiplication count taken
 //!   from the schedule's own flop accounting;
-//! * **monotone optimization** — the optimized trace never moves more
-//!   elements than the seed trace, and the exactness invariants survive
+//! * **monotone optimization** — the optimized schedule never moves more
+//!   elements than the seed schedule, and the exactness invariants survive
 //!   every pass.
 
+mod common;
+
+use common::{transfers, Transfer};
 use std::collections::HashMap;
 use symla::prelude::*;
 use symla_baselines::ooc_syrk_schedule;
 use symla_core::passes::PassPipeline;
-use symla_memory::{Direction, Trace};
 use symla_sched::max_oi_symmetric_mults;
 
 /// Per-cell transfer multiplicities of one matrix in one direction,
 /// keyed by matrix coordinates (`Region::cells` buffer-layout order).
 fn cell_counts(
-    trace: &Trace,
+    transfers: &[Transfer<'_>],
     matrix: MatrixId,
-    direction: Direction,
+    store: bool,
 ) -> HashMap<(usize, usize), u64> {
     let mut counts = HashMap::new();
-    for event in trace.events() {
-        if event.matrix == matrix.raw() && event.direction == direction {
-            for cell in event.region.cells() {
+    for t in transfers {
+        if t.matrix == matrix && t.store == store {
+            for cell in t.region.cells() {
                 *counts.entry(cell).or_insert(0) += 1;
             }
         }
@@ -46,29 +48,49 @@ fn cell_counts(
     counts
 }
 
-/// Trace ↔ dry-run coherence plus the operational-intensity lower bound
-/// (shared by every audit). Returns the trace for per-matrix checks.
-fn coherent_trace(name: &str, schedule: &Schedule<f64>, s: usize) -> Trace {
+/// Element sums and event count of the loads and stores in a `RunTrace`.
+fn traced_volume(trace: &RunTrace) -> (u64, u64, u64) {
+    let (mut loads, mut stores, mut events) = (0, 0, 0);
+    for record in trace.events() {
+        match record.kind {
+            EventKind::Load { elements, .. } => loads += elements as u64,
+            EventKind::Store { elements, .. } => stores += elements as u64,
+            _ => continue,
+        }
+        events += 1;
+    }
+    (loads, stores, events)
+}
+
+/// Transfer-stream ↔ dry-run coherence plus the operational-intensity lower
+/// bound (shared by every audit). Returns the transfers for per-matrix
+/// checks.
+fn coherent_transfers<'a>(name: &str, schedule: &'a Schedule<f64>, s: usize) -> Vec<Transfer<'a>> {
     let dry = Engine::dry_run(schedule, "main");
-    let trace = Engine::trace(schedule, "main");
-    assert_eq!(
-        trace.total_loaded(),
+    let dry_volume = (
         dry.volume.loads,
-        "{name}: trace loads must re-accumulate to the dry run"
-    );
-    assert_eq!(
-        trace.total_stored(),
         dry.volume.stores,
-        "{name}: trace stores must re-accumulate to the dry run"
-    );
-    assert_eq!(
-        trace.len() as u64,
         dry.load_events + dry.store_events,
-        "{name}: one trace event per transfer"
     );
-    assert!(
-        trace.peak_resident() <= dry.peak_resident,
-        "{name}: a transfer left more resident than the dry-run peak"
+    let stream = transfers(schedule);
+    let mut walked = (0, 0, stream.len() as u64);
+    for t in &stream {
+        let sum = if t.store {
+            &mut walked.1
+        } else {
+            &mut walked.0
+        };
+        *sum += t.region.len() as u64;
+    }
+    assert_eq!(
+        walked, dry_volume,
+        "{name}: the steps' transfers must re-accumulate to the dry run"
+    );
+    let trace = modelled_run_trace(schedule, &MachineModel::dram(), 0, None);
+    assert_eq!(
+        traced_volume(&trace),
+        dry_volume,
+        "{name}: the synthesized trace must re-accumulate to the dry run"
     );
 
     // Corollary 4.7 / 4.8 via Lemma 3.1: no schedule can perform more than
@@ -79,7 +101,7 @@ fn coherent_trace(name: &str, schedule: &Schedule<f64>, s: usize) -> Trace {
         total >= bound,
         "{name}: {total} transferred elements beat the OI lower bound {bound:.1}"
     );
-    trace
+    stream
 }
 
 /// The seed schedule plus its optimized forms under both stock pipelines,
@@ -109,23 +131,23 @@ fn seed_and_optimized(name: &str, seed: Schedule<f64>) -> Vec<(String, Schedule<
 /// every lower-triangle entry of `C` (id 1) loaded exactly once and stored
 /// exactly once.
 fn audit_syrk(name: &str, schedule: &Schedule<f64>, n: usize, m: usize, s: usize) {
-    let trace = coherent_trace(name, schedule, s);
+    let stream = coherent_transfers(name, schedule, s);
     let a_id = MatrixId::synthetic(0);
     let c_id = MatrixId::synthetic(1);
 
     assert!(
-        cell_counts(&trace, a_id, Direction::Store).is_empty(),
+        cell_counts(&stream, a_id, true).is_empty(),
         "{name}: the input panel A must never be written back"
     );
-    let a_loads = cell_counts(&trace, a_id, Direction::Load);
+    let a_loads = cell_counts(&stream, a_id, false);
     assert_eq!(a_loads.len(), n * m, "{name}: A must be fully read");
     assert!(
         a_loads.values().all(|&c| c >= 1),
         "{name}: impossible zero-count A cell"
     );
 
-    for (direction, what) in [(Direction::Load, "loaded"), (Direction::Store, "stored")] {
-        let c_cells = cell_counts(&trace, c_id, direction);
+    for (store, what) in [(false, "loaded"), (true, "stored")] {
+        let c_cells = cell_counts(&stream, c_id, store);
         assert_eq!(
             c_cells.len(),
             n * (n + 1) / 2,
@@ -148,10 +170,10 @@ fn audit_syrk(name: &str, schedule: &Schedule<f64>, n: usize, m: usize, s: usize
 /// whole factor is written back at least once; traffic never touches the
 /// strict upper triangle.
 fn audit_cholesky(name: &str, schedule: &Schedule<f64>, n: usize, s: usize) {
-    let trace = coherent_trace(name, schedule, s);
+    let stream = coherent_transfers(name, schedule, s);
     let id = MatrixId::synthetic(0);
-    for (direction, what) in [(Direction::Load, "loaded"), (Direction::Store, "stored")] {
-        let cells = cell_counts(&trace, id, direction);
+    for (store, what) in [(false, "loaded"), (true, "stored")] {
+        let cells = cell_counts(&stream, id, store);
         assert_eq!(
             cells.len(),
             n * (n + 1) / 2,
@@ -218,20 +240,25 @@ fn lbc_trace_audit_seed_and_optimized() {
 /// on traced instances: the measured transfer totals dominate both.
 #[test]
 fn traced_totals_dominate_closed_form_bounds() {
+    let traced_total = |schedule: &Schedule<f64>| {
+        let (loads, stores, _) = traced_volume(&modelled_run_trace(
+            schedule,
+            &MachineModel::dram(),
+            0,
+            None,
+        ));
+        (loads + stores) as f64
+    };
     let (n, m, s) = (144, 24, 150);
     let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
     let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
     let schedule =
         ooc_syrk_schedule::<f64>(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap())
             .unwrap();
-    let trace = Engine::trace(&schedule, "main");
-    let total = (trace.total_loaded() + trace.total_stored()) as f64;
-    assert!(total >= bounds::syrk_lower_bound(n as f64, m as f64, s as f64));
+    assert!(traced_total(&schedule) >= bounds::syrk_lower_bound(n as f64, m as f64, s as f64));
 
     let (n, s) = (72, 100);
     let window = SymWindowRef::full(MatrixId::synthetic(0), n);
     let schedule = lbc_schedule::<f64>(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap();
-    let trace = Engine::trace(&schedule, "main");
-    let total = (trace.total_loaded() + trace.total_stored()) as f64;
-    assert!(total >= bounds::cholesky_lower_bound(n as f64, s as f64));
+    assert!(traced_total(&schedule) >= bounds::cholesky_lower_bound(n as f64, s as f64));
 }
