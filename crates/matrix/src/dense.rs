@@ -302,11 +302,10 @@ impl<T: Scalar> Matrix<T> {
         Ok(())
     }
 
-    /// Largest absolute value of any element (the max norm).
+    /// Largest absolute value of any element (the max norm; NaN if any element is).
     pub fn max_abs(&self) -> T {
-        self.data
-            .iter()
-            .fold(T::ZERO, |acc, &x| acc.max_scalar(x.abs()))
+        let keep_nan = |m: T, a: T| if a > m || a.to_f64().is_nan() { a } else { m };
+        self.data.iter().map(|&x| x.abs()).fold(T::ZERO, keep_nan)
     }
 
     /// Frobenius norm of the matrix, accumulated in `f64`.
@@ -321,7 +320,7 @@ impl<T: Scalar> Matrix<T> {
             .sqrt()
     }
 
-    /// Largest absolute element-wise difference with `other`.
+    /// Largest absolute element-wise difference with `other` (NaN if any difference is).
     pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
         if self.shape() != other.shape() {
             return Err(MatrixError::DimensionMismatch {
@@ -335,7 +334,7 @@ impl<T: Scalar> Matrix<T> {
             .iter()
             .zip(other.data.iter())
             .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0_f64, f64::max))
+            .fold(0.0_f64, |m, d| if d > m || d.is_nan() { d } else { m }))
     }
 
     /// Whether `self` and `other` agree element-wise within `tol` (absolute).
@@ -584,6 +583,29 @@ mod tests {
         assert!(m.approx_eq(&m2, 1e-10));
         assert!(!m.approx_eq(&m2, 1e-14));
         assert!(m.max_abs_diff(&Matrix::zeros(3, 3)).is_err());
+    }
+
+    #[test]
+    fn max_abs_diff_and_approx_eq_see_a_nan() {
+        let id = Matrix::<f64>::identity(3);
+        let nan = Matrix::<f64>::filled(3, 3, f64::NAN);
+        assert!(nan.max_abs_diff(&id).unwrap().is_nan());
+        assert!(!nan.approx_eq(&id, 1e-12));
+        // A larger difference after the NaN does not displace it.
+        let mut one = id.clone();
+        one[(0, 0)] = f64::NAN;
+        one[(2, 2)] = 10.0;
+        assert!(one.max_abs_diff(&id).unwrap().is_nan());
+        assert!(id.max_abs_diff(&one).unwrap().is_nan());
+    }
+
+    #[test]
+    fn max_abs_sees_a_nan() {
+        let mut m = Matrix::<f64>::identity(3);
+        m[(1, 0)] = f64::NAN;
+        m[(2, 2)] = -7.0;
+        assert!(m.max_abs().is_nan());
+        assert!(Matrix::<f32>::filled(2, 2, f32::NAN).max_abs().is_nan());
     }
 
     #[test]

@@ -205,7 +205,7 @@ pub fn indexed_matrix<T: Scalar>(rows: usize, cols: usize) -> Matrix<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernels::cholesky::cholesky_sym;
 
@@ -282,5 +282,38 @@ mod tests {
         let s: SymMatrix<f64> = random_symmetric(9, &mut seeded_rng(5));
         let d = s.to_dense();
         assert!(d.is_symmetric(0.0));
+    }
+
+    /// Kernel test input: values in `[-3, 3)`, a zero at every fifth entry (the
+    /// kernels' zero-multiplier skips) and, with `poison`, a NaN at entry 1, `+∞`
+    /// last and `−∞` second to last, where the length leaves room for them.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn poisoned_vector<T: Scalar>(n: usize, seed: u64, poison: bool) -> Vec<T> {
+        let mut rng = seeded_rng(seed);
+        let mut v: Vec<T> = (0..n)
+            .map(|i| {
+                let v = rng.gen_range(-3.0..3.0);
+                T::from_f64(if i % 5 == 3 { 0.0 } else { v })
+            })
+            .collect();
+        if poison && n > 2 {
+            v[1] = T::from_f64(f64::NAN);
+            v[n - 1] = T::from_f64(f64::INFINITY);
+        }
+        if poison && n > 3 {
+            v[n - 2] = T::from_f64(f64::NEG_INFINITY);
+        }
+        v
+    }
+
+    /// Asserts that `a` and `b` hold the same bits. Widening to `f64` keeps every
+    /// value and a NaN's sign and payload, so equal `f64` bits mean equal bits.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn assert_bits_eq<T: Scalar>(a: &[T], b: &[T], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            let (xb, yb) = (x.to_f64().to_bits(), y.to_f64().to_bits());
+            assert!(xb == yb, "{what}: element {i} differs: {x} vs {y}");
+        }
     }
 }

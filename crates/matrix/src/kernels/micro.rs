@@ -18,6 +18,16 @@
 //! `crates/matrix/tests/kernel_equivalence.rs` asserts this across shapes,
 //! tile sizes and ragged edges.
 //!
+//! The engine's `mul_add` kernels, [`ger_view_blocked`] (`Ger`) and
+//! [`crate::kernels::views::triangle_pairs_update`] (`TrianglePairs`), keep
+//! their loops in one `#[inline(always)]` body that x86-64 also compiles into
+//! a `#[target_feature(enable = "fma,avx2")]` clone, where `mul_add` is one
+//! `vfmadd` instead of a library call and the loop vectorizes. The clone runs
+//! when `is_x86_feature_detected!` (cached by std) finds fma and avx2; other
+//! CPUs and targets run the portable body. The bits match: fma is correctly
+//! rounded on both paths, both run one body (same chains, term order and
+//! zero-multiplier skips), and vector lanes are independent chains.
+//!
 //! The engine dispatches through [`ger_view_auto`] / [`spr_lower_view_auto`],
 //! which pick the tile size; callers with layout knowledge can call the
 //! `_blocked` forms directly.
@@ -46,7 +56,8 @@ fn check_tile(tile: usize) -> Result<()> {
 ///
 /// Row tiles of length `row_tile` are the outer loop, so one tile of `x`
 /// stays cache-hot across all columns; the inner loop is an axpy over the
-/// matching contiguous window of each column of `C`.
+/// matching contiguous window of each column of `C`. Runs the bitwise-equal
+/// FMA/AVX2 clone on x86-64 CPUs with both features (see the module doc).
 pub fn ger_view_blocked<T: Scalar>(
     alpha: T,
     x: &[T],
@@ -62,6 +73,18 @@ pub fn ger_view_blocked<T: Scalar>(
         });
     }
     check_tile(row_tile)?;
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2") {
+        // SAFETY: `is_x86_feature_detected!` just found `ger_fma`'s features.
+        unsafe { ger_fma(alpha, x, y, c, row_tile) };
+        return Ok(());
+    }
+    ger_body(alpha, x, y, c, row_tile);
+    Ok(())
+}
+
+#[inline(always)]
+fn ger_body<T: Scalar>(alpha: T, x: &[T], y: &[T], c: &mut MatViewMut<'_, T>, row_tile: usize) {
     for i0 in (0..x.len()).step_by(row_tile) {
         let iend = (i0 + row_tile).min(x.len());
         let x_tile = &x[i0..iend];
@@ -76,7 +99,12 @@ pub fn ger_view_blocked<T: Scalar>(
             }
         }
     }
-    Ok(())
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma,avx2")]
+fn ger_fma<T: Scalar>(alpha: T, x: &[T], y: &[T], c: &mut MatViewMut<'_, T>, row_tile: usize) {
+    ger_body(alpha, x, y, c, row_tile);
 }
 
 /// Cache-blocked symmetric rank-1 update `C += alpha · x · xᵀ` on a packed
@@ -183,6 +211,8 @@ pub fn spr_lower_view_auto<T: Scalar>(
 mod tests {
     use super::*;
     use crate::generate::random_matrix_seeded;
+    #[cfg(target_arch = "x86_64")]
+    use crate::generate::tests::{assert_bits_eq, poisoned_vector};
     use crate::kernels::views::{gemm_nt_view, ger_view, spr_lower_view};
     use crate::Matrix;
 
@@ -244,6 +274,47 @@ mod tests {
             spr_lower_view_auto(-0.5, &x, &mut v).unwrap();
         }
         assert_eq!(pn, pf);
+    }
+
+    /// On a CPU with fma and avx2, `ger_fma` and the portable `ger_body`
+    /// agree bit for bit across ragged tiles, zero multipliers, NaN and ±∞.
+    #[test]
+    fn ger_fma_clone_is_bitwise_equal_to_the_portable_body() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!` just found fma and avx2.
+            unsafe {
+                ger_clone_case::<f64>();
+                ger_clone_case::<f32>();
+            }
+            return;
+        }
+        eprintln!("skipped: the CPU lacks fma or avx2, so only the portable body runs");
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have fma and avx2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn ger_clone_case<T: Scalar>() {
+        let alpha = T::from_f64(1.25);
+        for &(m, n) in &[(1, 1), (3, 8), (17, 5), (64, 3), (65, 7), (128, 2)] {
+            for poison in [false, true] {
+                let x = poisoned_vector::<T>(m, 3 + m as u64, poison);
+                let y = poisoned_vector::<T>(n, 5 + n as u64, poison);
+                let c0 = poisoned_vector::<T>(m * n, 7, poison);
+                for tile in [1, 2, 3, 7, 16, 64, 1000, DEFAULT_ROW_TILE] {
+                    let mut portable = c0.clone();
+                    let mut view = MatViewMut::new(&mut portable, m, n).unwrap();
+                    ger_body(alpha, &x, &y, &mut view, tile);
+                    let mut clone = c0.clone();
+                    let mut view = MatViewMut::new(&mut clone, m, n).unwrap();
+                    // SAFETY: the caller guarantees fma and avx2.
+                    unsafe { ger_fma(alpha, &x, &y, &mut view, tile) };
+                    assert_bits_eq(&portable, &clone, &format!("ger {m}x{n} tile {tile}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub fn spr_lower_view<T: Scalar>(
 /// column of `A` restricted to the block's row set (`x`, ordered like the row
 /// set), updates the packed strict-lower pair buffer `pairs`
 /// (`pairs[(u, v)] += alpha · x[u] · x[v]` for `u > v`, stored row-major:
-/// `(1,0), (2,0), (2,1), (3,0), ...`).
+/// `(1,0), (2,0), (2,1), (3,0), ...`). Runs the bitwise-equal FMA/AVX2 clone
+/// on x86-64 CPUs with both features (see [`crate::kernels::micro`]).
 pub fn triangle_pairs_update<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) -> Result<()> {
     let k = x.len();
     let expected = k * k.saturating_sub(1) / 2;
@@ -76,15 +77,32 @@ pub fn triangle_pairs_update<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) -> R
             actual: pairs.len(),
         });
     }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2") {
+        // SAFETY: `is_x86_feature_detected!` just found `triangle_pairs_fma`'s features.
+        unsafe { triangle_pairs_fma(alpha, x, pairs) };
+        return Ok(());
+    }
+    triangle_pairs_body(alpha, x, pairs);
+    Ok(())
+}
+
+#[inline(always)]
+fn triangle_pairs_body<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) {
     let mut idx = 0;
-    for u in 1..k {
+    for u in 1..x.len() {
         let axu = alpha * x[u];
         for &xv in x.iter().take(u) {
             pairs[idx] = xv.mul_add(axu, pairs[idx]);
             idx += 1;
         }
     }
-    Ok(())
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma,avx2")]
+fn triangle_pairs_fma<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) {
+    triangle_pairs_body(alpha, x, pairs);
 }
 
 /// `C += alpha · A · Bᵀ` where all three operands are views
@@ -329,6 +347,8 @@ pub fn dot_slice<T: Scalar>(x: &[T], y: &[T]) -> Result<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(target_arch = "x86_64")]
+    use crate::generate::tests::{assert_bits_eq, poisoned_vector};
     use crate::generate::{random_matrix_seeded, random_spd_seeded};
     use crate::kernels::{cholesky_sym, gemm_nt, syrk_dense_lower, trsm_right_lower_transpose};
     use crate::views::PackedLowerView;
@@ -374,6 +394,45 @@ mod tests {
         let mut short = vec![0.0; 3];
         let mut v = PackedLowerViewMut::new(&mut short, 2).unwrap();
         assert!(spr_lower_view(1.0, &x, &mut v).is_err());
+    }
+
+    /// On a CPU with fma and avx2, `triangle_pairs_fma` and the portable
+    /// `triangle_pairs_body` agree bit for bit for every `k`, including 0, 1,
+    /// 2 and odd lengths, with zero entries, NaN and ±∞.
+    #[test]
+    fn triangle_pairs_fma_clone_is_bitwise_equal_to_the_portable_body() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!` just found fma and avx2.
+            unsafe {
+                triangle_pairs_clone_case::<f64>();
+                triangle_pairs_clone_case::<f32>();
+            }
+            return;
+        }
+        eprintln!("skipped: the CPU lacks fma or avx2, so only the portable body runs");
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have fma and avx2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn triangle_pairs_clone_case<T: Scalar>() {
+        for k in [0, 1, 2, 3, 5, 8, 17, 33, 64, 65] {
+            for poison in [false, true] {
+                let x = poisoned_vector::<T>(k, 11 + k as u64, poison);
+                let p0 = poisoned_vector::<T>(k * k.saturating_sub(1) / 2, 13, poison);
+                for alpha in [1.25, -0.5, 0.0] {
+                    let alpha = T::from_f64(alpha);
+                    let mut portable = p0.clone();
+                    triangle_pairs_body(alpha, &x, &mut portable);
+                    let mut clone = p0.clone();
+                    // SAFETY: the caller guarantees fma and avx2.
+                    unsafe { triangle_pairs_fma(alpha, &x, &mut clone) };
+                    assert_bits_eq(&portable, &clone, &format!("pairs k={k} alpha {alpha}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub trait Scalar:
     /// Whether the value is finite (not NaN and not infinite).
     fn is_finite_scalar(self) -> bool;
 
-    /// Maximum of two scalars, propagating the non-NaN one.
+    /// Maximum of two scalars; keeps a NaN `self` but drops a NaN `other`.
     fn max_scalar(self, other: Self) -> Self {
         if other > self {
             other
@@ -75,7 +75,7 @@ pub trait Scalar:
         }
     }
 
-    /// Minimum of two scalars, propagating the non-NaN one.
+    /// Minimum of two scalars; keeps a NaN `self` but drops a NaN `other`.
     fn min_scalar(self, other: Self) -> Self {
         if other < self {
             other

@@ -152,7 +152,7 @@ impl<T: Scalar> SymMatrix<T> {
     }
 
     /// Largest absolute difference between the stored triangles of `self` and
-    /// `other`.
+    /// `other` (NaN if any difference is).
     pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
         if self.n != other.n {
             return Err(MatrixError::DimensionMismatch {
@@ -166,7 +166,7 @@ impl<T: Scalar> SymMatrix<T> {
             .iter()
             .zip(other.data.iter())
             .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0_f64, f64::max))
+            .fold(0.0_f64, |m, d| if d > m || d.is_nan() { d } else { m }))
     }
 
     /// Whether `self` and `other` agree within `tol` on every stored element.
@@ -252,6 +252,14 @@ mod tests {
         assert_eq!(s.get(3, 0), -2.0);
         s.add(3, 0, 1.0);
         assert_eq!(s.get(0, 3), -1.0);
+    }
+
+    #[test]
+    fn max_abs_diff_and_approx_eq_see_a_nan() {
+        let id = SymMatrix::<f64>::from_lower_fn(3, |i, j| if i == j { 1.0 } else { 0.0 });
+        let nan = SymMatrix::<f64>::from_lower_fn(3, |_, _| f64::NAN);
+        assert!(nan.max_abs_diff(&id).unwrap().is_nan());
+        assert!(!nan.approx_eq(&id, 1e-12));
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl<T: Scalar> LowerTriangular<T> {
         Ok(x)
     }
 
-    /// Largest absolute difference between the stored triangles.
+    /// Largest absolute difference between the stored triangles (NaN if any difference is).
     pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
         if self.n != other.n {
             return Err(MatrixError::DimensionMismatch {
@@ -185,7 +185,7 @@ impl<T: Scalar> LowerTriangular<T> {
             .iter()
             .zip(other.data.iter())
             .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0_f64, f64::max))
+            .fold(0.0_f64, |m, d| if d > m || d.is_nan() { d } else { m }))
     }
 
     /// Whether the two factors agree within `tol` on every stored element.
@@ -287,6 +287,14 @@ mod tests {
         let id = LowerTriangular::<f64>::identity(2);
         assert!(id.forward_solve(&[1.0]).is_err());
         assert!(id.backward_solve_transpose(&[1.0, 2.0, 3.0]).is_err());
+    }
+
+    #[test]
+    fn max_abs_diff_and_approx_eq_see_a_nan() {
+        let id = LowerTriangular::<f64>::identity(3);
+        let nan = LowerTriangular::<f64>::from_lower_fn(3, |_, _| f64::NAN);
+        assert!(nan.max_abs_diff(&id).unwrap().is_nan());
+        assert!(!nan.approx_eq(&id, 1e-12));
     }
 
     #[test]

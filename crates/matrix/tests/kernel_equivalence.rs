@@ -6,7 +6,9 @@
 //!
 //! This is the safety net that lets the engine dispatch the blocked kernels
 //! unconditionally: every out-of-core result stays bitwise identical to the
-//! seed implementations.
+//! seed implementations. On an x86-64 CPU with fma and avx2 the public `Ger`
+//! kernel runs its FMA/AVX2 clone, so this sweep checks the clone; the
+//! crate's unit tests compare the clone with the portable body.
 
 use symla_matrix::generate::{random_matrix_seeded, seeded_rng};
 use symla_matrix::kernels::micro::{

@@ -1093,8 +1093,8 @@ impl Engine {
                 let xs = slice_of(bufs, x)?;
                 let ys = slice_of(bufs, y)?;
                 let mut view = dst.rect_view_mut().map_err(EngineError::Memory)?;
-                // Cache-blocked micro-kernel, bitwise-equal to `ger_view`
-                // (asserted by the `kernel_equivalence` sweep).
+                // Cache-blocked micro-kernel, bitwise-equal to `ger_view` on
+                // its portable and FMA/AVX2 paths, like `TrianglePairs`.
                 ger_view_auto(*alpha, xs, ys, &mut view)?;
             }
             ComputeOp::SprLower { alpha, x, .. } => {
