@@ -11,12 +11,11 @@
 //!
 //! **Every kernel is bitwise-equal to its reference.** Each output element is
 //! written by exactly one accumulation chain, and the blocked loops preserve
-//! that chain's term order (ascending `l` per `(i, j)` in the GEMM case), the
-//! reference's zero-multiplier skips, and its exact per-element expression
-//! (`mul_add` vs plain product-and-add). Re-tiling only permutes *between*
-//! independent chains, which cannot change any IEEE-754 result. The sweep in
-//! `crates/matrix/tests/kernel_equivalence.rs` asserts this across shapes,
-//! tile sizes and ragged edges.
+//! that chain's term order, the reference's zero-multiplier skips, and its
+//! exact per-element expression (`mul_add` vs plain product-and-add).
+//! Re-tiling only permutes *between* independent chains, which cannot change
+//! any IEEE-754 result. The sweep in `crates/matrix/tests/kernel_equivalence.rs`
+//! asserts this across shapes, tile sizes and ragged edges.
 //!
 //! The engine's `mul_add` kernels, [`ger_view_blocked`] (`Ger`) and
 //! [`crate::kernels::views::triangle_pairs_update`] (`TrianglePairs`), keep
@@ -34,7 +33,7 @@
 
 use crate::error::{MatrixError, Result};
 use crate::scalar::Scalar;
-use crate::views::{MatView, MatViewMut, PackedLowerViewMut};
+use crate::views::{MatViewMut, PackedLowerViewMut};
 
 /// Default row-tile length used by the auto-dispatch wrappers: 512 elements
 /// (4 KiB of `f64`) keeps a tile of `x` plus a column tile of `C` well inside
@@ -147,46 +146,6 @@ pub fn spr_lower_view_blocked<T: Scalar>(
     Ok(())
 }
 
-/// Cache-blocked `C += alpha · A · Bᵀ`
-/// (bitwise-equal to [`crate::kernels::views::gemm_nt_view`]).
-///
-/// Row tiles of `A`/`C` are the outer loop; for one tile the kernel performs
-/// the reference's full `(j, l)` sweep over contiguous slice windows, so each
-/// output element still accumulates its `l`-terms in ascending order.
-pub fn gemm_nt_view_blocked<T: Scalar>(
-    alpha: T,
-    a: &MatView<'_, T>,
-    b: &MatView<'_, T>,
-    c: &mut MatViewMut<'_, T>,
-    row_tile: usize,
-) -> Result<()> {
-    if a.cols() != b.cols() || c.rows() != a.rows() || c.cols() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            operation: "gemm_nt_view_blocked",
-            left: (a.rows(), a.cols()),
-            right: (b.rows(), b.cols()),
-        });
-    }
-    check_tile(row_tile)?;
-    for i0 in (0..a.rows()).step_by(row_tile) {
-        let iend = (i0 + row_tile).min(a.rows());
-        for j in 0..c.cols() {
-            for l in 0..a.cols() {
-                let bjl = alpha * b.get(j, l);
-                if bjl == T::ZERO {
-                    continue;
-                }
-                let a_tile = &a.col(l)[i0..iend];
-                let c_tile = &mut c.col_mut(j)[i0..iend];
-                for (ci, &ai) in c_tile.iter_mut().zip(a_tile) {
-                    *ci = ai.mul_add(bjl, *ci);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The engine's `Ger` dispatch: blocked kernel with [`DEFAULT_ROW_TILE`].
 pub fn ger_view_auto<T: Scalar>(
     alpha: T,
@@ -210,11 +169,9 @@ pub fn spr_lower_view_auto<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::random_matrix_seeded;
     #[cfg(target_arch = "x86_64")]
     use crate::generate::tests::{assert_bits_eq, poisoned_vector};
-    use crate::kernels::views::{gemm_nt_view, ger_view, spr_lower_view};
-    use crate::Matrix;
+    use crate::kernels::views::{ger_view, spr_lower_view};
 
     #[test]
     fn zero_tile_is_rejected() {
@@ -238,13 +195,6 @@ mod tests {
         let mut packed = vec![0.0_f64; 3];
         let mut p = PackedLowerViewMut::new(&mut packed, 2).unwrap();
         assert!(spr_lower_view_blocked(1.0, &x, &mut p, 4).is_err());
-        let a: Matrix<f64> = random_matrix_seeded(3, 2, 1);
-        let b: Matrix<f64> = random_matrix_seeded(2, 3, 2);
-        let av = MatView::new(a.as_slice(), 3, 2).unwrap();
-        let bv = MatView::new(b.as_slice(), 2, 3).unwrap();
-        let mut cbuf = vec![0.0_f64; 6];
-        let mut cv = MatViewMut::new(&mut cbuf, 3, 2).unwrap();
-        assert!(gemm_nt_view_blocked(1.0, &av, &bv, &mut cv, 4).is_err());
     }
 
     #[test]
@@ -314,28 +264,6 @@ mod tests {
                     assert_bits_eq(&portable, &clone, &format!("ger {m}x{n} tile {tile}"));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn gemm_nt_blocked_matches_reference_bitwise() {
-        let a: Matrix<f64> = random_matrix_seeded(9, 4, 31);
-        let b: Matrix<f64> = random_matrix_seeded(6, 4, 32);
-        let c0: Matrix<f64> = random_matrix_seeded(9, 6, 33);
-        let mut naive = c0.as_slice().to_vec();
-        {
-            let av = MatView::new(a.as_slice(), 9, 4).unwrap();
-            let bv = MatView::new(b.as_slice(), 6, 4).unwrap();
-            let mut cv = MatViewMut::new(&mut naive, 9, 6).unwrap();
-            gemm_nt_view(0.75, &av, &bv, &mut cv).unwrap();
-        }
-        for tile in [1, 2, 4, 9, 100] {
-            let mut fast = c0.as_slice().to_vec();
-            let av = MatView::new(a.as_slice(), 9, 4).unwrap();
-            let bv = MatView::new(b.as_slice(), 6, 4).unwrap();
-            let mut cv = MatViewMut::new(&mut fast, 9, 6).unwrap();
-            gemm_nt_view_blocked(0.75, &av, &bv, &mut cv, tile).unwrap();
-            assert_eq!(naive, fast, "tile {tile}");
         }
     }
 }

@@ -105,37 +105,6 @@ fn triangle_pairs_fma<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) {
     triangle_pairs_body(alpha, x, pairs);
 }
 
-/// `C += alpha · A · Bᵀ` where all three operands are views
-/// (`A` is `m x k`, `B` is `n x k`, `C` is `m x n`).
-pub fn gemm_nt_view<T: Scalar>(
-    alpha: T,
-    a: &MatView<'_, T>,
-    b: &MatView<'_, T>,
-    c: &mut MatViewMut<'_, T>,
-) -> Result<()> {
-    if a.cols() != b.cols() || c.rows() != a.rows() || c.cols() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            operation: "gemm_nt_view",
-            left: (a.rows(), a.cols()),
-            right: (b.rows(), b.cols()),
-        });
-    }
-    for j in 0..c.cols() {
-        for l in 0..a.cols() {
-            let bjl = alpha * b.get(j, l);
-            if bjl == T::ZERO {
-                continue;
-            }
-            let a_col = a.col(l);
-            let c_col = c.col_mut(j);
-            for i in 0..a_col.len() {
-                c_col[i] = a_col[i].mul_add(bjl, c_col[i]);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// `C += alpha · A · Aᵀ`, updating only the lower triangle of the square view
 /// `C` (`A` is `n x k`, `C` is `n x n` full storage but only `i >= j` is
 /// touched).
@@ -446,26 +415,6 @@ mod tests {
         triangle_pairs_update(2.0, &x, &mut pairs).unwrap();
         assert_eq!(pairs[0], 6.0 + 12.0);
         assert!(triangle_pairs_update(1.0, &x, &mut [0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn gemm_nt_view_matches_reference() {
-        let a: Matrix<f64> = random_matrix_seeded(4, 3, 71);
-        let b: Matrix<f64> = random_matrix_seeded(5, 3, 72);
-        let c0: Matrix<f64> = random_matrix_seeded(4, 5, 73);
-
-        let mut expected = c0.clone();
-        gemm_nt(1.5, &a, &b, 1.0, &mut expected).unwrap();
-
-        let mut buf = c0.clone().into_vec();
-        {
-            let av = MatView::new(a.as_slice(), 4, 3).unwrap();
-            let bv = MatView::new(b.as_slice(), 5, 3).unwrap();
-            let mut cv = MatViewMut::new(&mut buf, 4, 5).unwrap();
-            gemm_nt_view(1.5, &av, &bv, &mut cv).unwrap();
-        }
-        let got = Matrix::from_col_major(4, 5, buf).unwrap();
-        assert!(got.approx_eq(&expected, 1e-13));
     }
 
     #[test]

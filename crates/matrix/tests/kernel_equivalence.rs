@@ -12,13 +12,11 @@
 
 use symla_matrix::generate::{random_matrix_seeded, seeded_rng};
 use symla_matrix::kernels::micro::{
-    gemm_nt_view_blocked, ger_view_auto, ger_view_blocked, spr_lower_view_auto,
-    spr_lower_view_blocked, DEFAULT_ROW_TILE,
+    ger_view_auto, ger_view_blocked, spr_lower_view_auto, spr_lower_view_blocked, DEFAULT_ROW_TILE,
 };
-use symla_matrix::kernels::views::{gemm_nt_view, ger_view, spr_lower_view};
+use symla_matrix::kernels::views::{ger_view, spr_lower_view};
 use symla_matrix::packed::packed_len;
-use symla_matrix::views::{MatView, MatViewMut, PackedLowerViewMut};
-use symla_matrix::Matrix;
+use symla_matrix::views::{MatViewMut, PackedLowerViewMut};
 
 /// Deterministic vector with structure: sign changes, zeros (to hit the
 /// zero-multiplier skip), and optionally a NaN and an infinity.
@@ -97,45 +95,6 @@ fn spr_blocked_equals_naive_across_orders_and_tiles() {
             let mut v = PackedLowerViewMut::new(&mut auto, n).unwrap();
             spr_lower_view_auto(-0.75, &x, &mut v).unwrap();
             assert_bits_eq(&naive, &auto, &format!("spr auto n={n}"));
-        }
-    }
-}
-
-#[test]
-fn gemm_nt_blocked_equals_naive_across_shapes_and_tiles() {
-    for &(m, k, n) in &[(1, 1, 1), (4, 3, 5), (17, 6, 9), (33, 4, 12), (64, 2, 7)] {
-        for poison in [false, true] {
-            let mut a: Matrix<f64> = random_matrix_seeded(m, k, 6000 + m as u64);
-            if poison && m > 1 && k > 1 {
-                a[(0, 0)] = f64::NAN;
-                a[(m - 1, k - 1)] = f64::NEG_INFINITY;
-            }
-            // Zeros in B exercise the zero-multiplier skip (which the blocked
-            // kernel must replicate, not just approximate).
-            let mut b: Matrix<f64> = random_matrix_seeded(n, k, 7000 + n as u64);
-            for j in 0..n {
-                if j % 3 == 1 {
-                    b[(j, 0)] = 0.0;
-                }
-            }
-            let c0: Vec<f64> = random_matrix_seeded(m, n, 8000).as_slice().to_vec();
-
-            let mut naive = c0.clone();
-            {
-                let av = MatView::new(a.as_slice(), m, k).unwrap();
-                let bv = MatView::new(b.as_slice(), n, k).unwrap();
-                let mut cv = MatViewMut::new(&mut naive, m, n).unwrap();
-                gemm_nt_view(1.5, &av, &bv, &mut cv).unwrap();
-            }
-
-            for tile in [1, 2, 5, 16, 33, 1000] {
-                let mut fast = c0.clone();
-                let av = MatView::new(a.as_slice(), m, k).unwrap();
-                let bv = MatView::new(b.as_slice(), n, k).unwrap();
-                let mut cv = MatViewMut::new(&mut fast, m, n).unwrap();
-                gemm_nt_view_blocked(1.5, &av, &bv, &mut cv, tile).unwrap();
-                assert_bits_eq(&naive, &fast, &format!("gemm_nt {m}x{k}x{n} tile {tile}"));
-            }
         }
     }
 }

@@ -5,10 +5,10 @@
 //! packed lower for symmetric) is written to one temporary file, and every
 //! [`FileSlowMemory::load`] / [`FileSlowMemory::store`] performs real
 //! `seek`/`read`/`write` syscalls against it. The accounting — element-exact
-//! I/O counting, capacity checks, leases — is the shared ledger and
-//! lease table of [`crate::machine`], so `IoStats` from a file-backed run are
-//! directly comparable (and, for the same schedule, identical) to the
-//! simulated machine's.
+//! I/O counting, capacity checks, leases — is the shared ledger of
+//! [`crate::machine`] and the matrix registry of [`crate::storage`], so
+//! `IoStats` from a file-backed run are directly comparable (and, for the
+//! same schedule, identical) to the simulated machine's.
 //!
 //! The point of this backend is wall-clock evidence: replaying a schedule
 //! against it makes the prefetch engine hide *actual* storage latency, not
@@ -17,82 +17,40 @@
 //!
 //! Elements are stored as little-endian `f64` (8 bytes each) through
 //! [`Scalar::to_f64`]/[`Scalar::from_f64`], which are exact for both `f32`
-//! and `f64`. Transfers coalesce consecutive storage indices into single
-//! contiguous reads/writes, so column-shaped regions cost one syscall per
-//! column rather than one per element.
+//! and `f64`. A transfer reads or writes each of its region's storage runs
+//! (the maximal stretches of consecutive storage indices, which the
+//! in-memory machines copy as slices) with one seek and one read or write,
+//! so a column-shaped region costs one syscall pair per column rather than
+//! one per element.
 
 use crate::error::{MemoryError, Result};
 use crate::level::Level;
-use crate::machine::{FastBuf, Leases, Ledger, MachineConfig, MachineOps, MatrixId};
+use crate::machine::{FastBuf, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
-use std::collections::BTreeMap;
+use crate::storage::{Layout, Registry, Stored};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use symla_matrix::kernels::FlopCount;
-use symla_matrix::packed::packed_lower_index;
 use symla_matrix::{Matrix, Scalar, SymMatrix};
 
 /// Bytes per stored element (little-endian `f64`).
 const ELEM_BYTES: u64 = 8;
 
-/// Storage kind and layout of one matrix in the backing file.
-#[derive(Debug, Clone, Copy)]
-enum FileKind {
-    /// Column-major dense storage of shape `rows x cols`.
-    Dense {
-        /// Number of rows.
-        rows: usize,
-        /// Number of columns.
-        cols: usize,
-    },
-    /// Packed lower-triangular storage of the given order.
-    Symmetric {
-        /// Matrix order.
-        order: usize,
-    },
-}
-
-impl FileKind {
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            FileKind::Dense { rows, cols } => (*rows, *cols),
-            FileKind::Symmetric { order } => (*order, *order),
-        }
-    }
-
-    fn kind_str(&self) -> &'static str {
-        match self {
-            FileKind::Dense { .. } => "dense",
-            FileKind::Symmetric { .. } => "symmetric",
-        }
-    }
-
-    fn stored_len(&self) -> usize {
-        match self {
-            FileKind::Dense { rows, cols } => rows * cols,
-            FileKind::Symmetric { order } => order * (order + 1) / 2,
-        }
-    }
-
-    /// Storage index of one matrix cell (symmetric cells arrive as
-    /// lower-triangle coordinates from [`Region::cells`]).
-    fn storage_index(&self, i: usize, j: usize) -> usize {
-        match self {
-            FileKind::Dense { rows, .. } => i + j * rows,
-            FileKind::Symmetric { order } => packed_lower_index(*order, i, j),
-        }
-    }
-}
-
 /// Where one matrix lives in the backing file.
 #[derive(Debug, Clone, Copy)]
-struct FileMatrixMeta {
-    kind: FileKind,
+struct FileMatrix {
+    layout: Layout,
     /// Offset of the matrix's first element, in elements.
     offset: u64,
+}
+
+impl Stored for FileMatrix {
+    fn layout(&self) -> Layout {
+        self.layout
+    }
 }
 
 fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> MemoryError {
@@ -102,17 +60,53 @@ fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> MemoryError {
     }
 }
 
+/// Reads `count` elements from element `offset` of `file` onto the end of
+/// `out`: one seek and one read.
+fn read_into<T: Scalar>(
+    file: &mut File,
+    offset: u64,
+    count: usize,
+    out: &mut Vec<T>,
+    context: &'static str,
+) -> Result<()> {
+    file.seek(SeekFrom::Start(offset * ELEM_BYTES))
+        .map_err(io_err(context))?;
+    let mut bytes = vec![0u8; count * ELEM_BYTES as usize];
+    file.read_exact(&mut bytes).map_err(io_err(context))?;
+    out.extend(
+        bytes
+            .chunks_exact(ELEM_BYTES as usize)
+            .map(|c| T::from_f64(f64::from_le_bytes(c.try_into().expect("8-byte chunk")))),
+    );
+    Ok(())
+}
+
+/// Writes `data` at element `offset` of `file`: one seek and one write.
+fn write_at<T: Scalar>(
+    file: &mut File,
+    offset: u64,
+    data: &[T],
+    context: &'static str,
+) -> Result<()> {
+    file.seek(SeekFrom::Start(offset * ELEM_BYTES))
+        .map_err(io_err(context))?;
+    let mut bytes = Vec::with_capacity(data.len() * ELEM_BYTES as usize);
+    for &v in data {
+        bytes.extend_from_slice(&v.to_f64().to_le_bytes());
+    }
+    file.write_all(&bytes).map_err(io_err(context))
+}
+
 /// The file-backed two-level memory machine (mirror of [`crate::OocMachine`]).
 #[derive(Debug)]
 pub struct FileSlowMemory<T: Scalar> {
     file: File,
     path: PathBuf,
-    metas: BTreeMap<u64, FileMatrixMeta>,
+    matrices: Registry<FileMatrix>,
     next_id: u64,
     /// Next free element offset in the file.
     next_offset: u64,
     ledger: Ledger,
-    leases: Leases,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -138,11 +132,10 @@ impl<T: Scalar> FileSlowMemory<T> {
         Ok(Self {
             file,
             path,
-            metas: BTreeMap::new(),
+            matrices: Registry::default(),
             next_id: 0,
             next_offset: 0,
             ledger,
-            leases: Leases::default(),
             _marker: PhantomData,
         })
     }
@@ -170,42 +163,38 @@ impl<T: Scalar> FileSlowMemory<T> {
     /// Registers a dense matrix: its column-major storage is appended to the
     /// backing file.
     pub fn insert_dense(&mut self, m: Matrix<T>) -> Result<MatrixId> {
-        let kind = FileKind::Dense {
+        let layout = Layout::Dense {
             rows: m.rows(),
             cols: m.cols(),
         };
-        self.insert(kind, m.as_slice())
+        self.insert(layout, m.as_slice())
     }
 
     /// Registers a symmetric matrix: its packed lower storage is appended to
     /// the backing file.
     pub fn insert_symmetric(&mut self, s: SymMatrix<T>) -> Result<MatrixId> {
-        let kind = FileKind::Symmetric { order: s.order() };
-        self.insert(kind, s.as_packed())
+        self.insert(Layout::Packed { n: s.order() }, s.as_packed())
     }
 
-    fn insert(&mut self, kind: FileKind, storage: &[T]) -> Result<MatrixId> {
-        debug_assert_eq!(storage.len(), kind.stored_len());
+    fn insert(&mut self, layout: Layout, storage: &[T]) -> Result<MatrixId> {
+        debug_assert_eq!(storage.len(), layout.stored_len());
         let offset = self.next_offset;
-        self.write_elements(offset, storage, "writing a registered matrix")?;
+        write_at(
+            &mut self.file,
+            offset,
+            storage,
+            "writing a registered matrix",
+        )?;
         let id = self.next_id;
         self.next_id += 1;
-        self.metas.insert(id, FileMatrixMeta { kind, offset });
+        self.matrices.insert(id, FileMatrix { layout, offset });
         self.next_offset += storage.len() as u64;
-        self.leases.register(id);
         Ok(MatrixId(id))
-    }
-
-    fn meta(&self, id: MatrixId) -> Result<FileMatrixMeta> {
-        self.metas
-            .get(&id.0)
-            .copied()
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })
     }
 
     /// Logical shape of a registered matrix.
     pub fn shape(&self, id: MatrixId) -> Result<(usize, usize)> {
-        Ok(self.meta(id)?.kind.shape())
+        Ok(self.matrices.get(id)?.layout.shape())
     }
 
     /// Declares the current phase; subsequent transfers are attributed to it.
@@ -218,119 +207,6 @@ impl<T: Scalar> FileSlowMemory<T> {
         self.ledger.phase()
     }
 
-    /// Same region validation as the simulated machine (kind compatibility,
-    /// bounds) so the two backends fail identically.
-    fn validate_region(&self, meta: &FileMatrixMeta, region: &Region) -> Result<()> {
-        let compatible = match meta.kind {
-            FileKind::Dense { .. } => region.is_dense_region(),
-            FileKind::Symmetric { .. } => region.is_symmetric_region(),
-        };
-        if !compatible {
-            return Err(MemoryError::RegionKindMismatch {
-                region: region.to_string(),
-                storage: meta.kind.kind_str(),
-            });
-        }
-        region
-            .validate(meta.kind.shape())
-            .map_err(|_| MemoryError::RegionOutOfBounds {
-                region: region.to_string(),
-                shape: meta.kind.shape(),
-            })
-    }
-
-    /// Storage indices of `region`, in buffer-layout order.
-    fn storage_indices(meta: &FileMatrixMeta, region: &Region) -> Vec<usize> {
-        region
-            .cells()
-            .into_iter()
-            .map(|(i, j)| meta.kind.storage_index(i, j))
-            .collect()
-    }
-
-    /// Splits a storage-index sequence into maximal consecutive runs
-    /// `(start_index, len)` so each run is one contiguous file access.
-    fn runs(indices: &[usize]) -> Vec<(usize, usize)> {
-        let mut runs = Vec::new();
-        let mut iter = indices.iter().copied();
-        let Some(first) = iter.next() else {
-            return runs;
-        };
-        let (mut start, mut len) = (first, 1usize);
-        for idx in iter {
-            if idx == start + len {
-                len += 1;
-            } else {
-                runs.push((start, len));
-                start = idx;
-                len = 1;
-            }
-        }
-        runs.push((start, len));
-        runs
-    }
-
-    fn read_elements(
-        &mut self,
-        offset: u64,
-        count: usize,
-        context: &'static str,
-    ) -> Result<Vec<T>> {
-        self.file
-            .seek(SeekFrom::Start(offset * ELEM_BYTES))
-            .map_err(io_err(context))?;
-        let mut bytes = vec![0u8; count * ELEM_BYTES as usize];
-        self.file.read_exact(&mut bytes).map_err(io_err(context))?;
-        Ok(bytes
-            .chunks_exact(ELEM_BYTES as usize)
-            .map(|c| T::from_f64(f64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect())
-    }
-
-    fn write_elements(&mut self, offset: u64, data: &[T], context: &'static str) -> Result<()> {
-        self.file
-            .seek(SeekFrom::Start(offset * ELEM_BYTES))
-            .map_err(io_err(context))?;
-        let mut bytes = Vec::with_capacity(data.len() * ELEM_BYTES as usize);
-        for &v in data {
-            bytes.extend_from_slice(&v.to_f64().to_le_bytes());
-        }
-        self.file.write_all(&bytes).map_err(io_err(context))
-    }
-
-    /// Reads a region from the backing file, in buffer-layout order.
-    fn gather(&mut self, meta: &FileMatrixMeta, region: &Region) -> Result<Vec<T>> {
-        let indices = Self::storage_indices(meta, region);
-        let mut out = Vec::with_capacity(indices.len());
-        for (start, len) in Self::runs(&indices) {
-            out.extend(self.read_elements(meta.offset + start as u64, len, "reading a region")?);
-        }
-        Ok(out)
-    }
-
-    /// Writes a region back to the backing file from buffer-layout order.
-    fn scatter(&mut self, meta: &FileMatrixMeta, region: &Region, data: &[T]) -> Result<()> {
-        if data.len() != region.len() {
-            return Err(MemoryError::Matrix(
-                symla_matrix::MatrixError::InvalidBufferLength {
-                    expected: region.len(),
-                    actual: data.len(),
-                },
-            ));
-        }
-        let indices = Self::storage_indices(meta, region);
-        let mut consumed = 0usize;
-        for (start, len) in Self::runs(&indices) {
-            self.write_elements(
-                meta.offset + start as u64,
-                &data[consumed..consumed + len],
-                "writing a region",
-            )?;
-            consumed += len;
-        }
-        Ok(())
-    }
-
     /// Loads a region of a matrix into fast memory — a real file read —
     /// charging its element count as load traffic and checking the capacity.
     pub fn load(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
@@ -339,11 +215,20 @@ impl<T: Scalar> FileSlowMemory<T> {
 
     fn load_at(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         self.ledger.check_capacity(region.len())?;
-        let meta = self.meta(id)?;
-        self.validate_region(&meta, &region)?;
-        let data = self.gather(&meta, &region)?;
+        let file = &mut self.file;
+        let data = self.matrices.lease(id, |m| {
+            m.layout.validate(&region)?;
+            let mut data = Vec::with_capacity(region.len());
+            let mut read = Ok(());
+            m.layout.for_each_run(&region, |start, len| {
+                if read.is_ok() {
+                    let offset = m.offset + start as u64;
+                    read = read_into(file, offset, len, &mut data, "reading a region");
+                }
+            });
+            read.map(|()| data)
+        })?;
         self.ledger.admit_load(region.len(), level);
-        self.leases.take(id);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
 
@@ -352,10 +237,8 @@ impl<T: Scalar> FileSlowMemory<T> {
     pub fn allocate_zeroed(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
         let elements = region.len();
         self.ledger.check_capacity(elements)?;
-        let meta = self.meta(id)?;
-        self.validate_region(&meta, &region)?;
+        self.matrices.lease(id, |m| m.layout.validate(&region))?;
         self.ledger.admit_alloc(elements);
-        self.leases.take(id);
         Ok(FastBuf::from_parts(
             vec![T::ZERO; elements],
             id,
@@ -365,28 +248,37 @@ impl<T: Scalar> FileSlowMemory<T> {
     }
 
     /// Writes a buffer back to the file (charging store traffic) and releases
-    /// its fast-memory space.
+    /// its fast-memory space. The buffer leaves fast memory even when the
+    /// write fails; the region may then be partly written.
     pub fn store(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.store_at(buf, Level::SLOW)
     }
 
     fn store_at(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
-        let meta = self.meta(buf.matrix_id())?;
-        self.validate_region(&meta, buf.region())?;
-        self.scatter(&meta, buf.region(), buf.as_slice())?;
-        self.ledger.release(buf.len());
-        self.leases.release(buf.matrix_id());
-        self.ledger.note_store(buf.len(), level);
-        Ok(())
+        let file = &mut self.file;
+        let written = self.matrices.release(buf.matrix_id(), |m| {
+            let mut rest = buf.as_slice();
+            m.layout.validate_buffer(buf.region(), rest.len())?;
+            let mut written = Ok(());
+            m.layout.for_each_run(buf.region(), |start, len| {
+                let (run, tail) = rest.split_at(len);
+                rest = tail;
+                if written.is_ok() {
+                    let offset = m.offset + start as u64;
+                    written = write_at(file, offset, run, "writing a region");
+                }
+            });
+            written
+        });
+        self.ledger.settle_store(buf.len(), level, written)
     }
 
     /// Releases a buffer without writing it back (no store traffic).
     pub fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
         self.ledger.release(buf.len());
-        self.leases.release(buf.matrix_id());
-        Ok(())
+        self.matrices.release(buf.matrix_id(), |_| Ok(()))
     }
 
     /// Records arithmetic work performed by the schedule.
@@ -399,35 +291,37 @@ impl<T: Scalar> FileSlowMemory<T> {
         self.ledger.stats()
     }
 
+    /// Reads a matrix's storage out of the file and deregisters it, once no
+    /// lease is out on it and it is dense when `dense` is set, symmetric
+    /// otherwise (`op` names the caller in a kind mismatch). A failed read
+    /// leaves it registered.
+    fn take_storage(&mut self, id: MatrixId, op: &str, dense: bool) -> Result<(Layout, Vec<T>)> {
+        let m = self.matrices.take(id, op, |m| {
+            if matches!(m.layout, Layout::Dense { .. }) == dense {
+                Ok(m)
+            } else {
+                Err(m)
+            }
+        })?;
+        let len = m.layout.stored_len();
+        let mut data = Vec::with_capacity(len);
+        read_into(&mut self.file, m.offset, len, &mut data, "reading a matrix")
+            .inspect_err(|_| self.matrices.insert(id.0, m))?;
+        Ok((m.layout, data))
+    }
+
     /// Reads a dense matrix out of the file and deregisters it (fails if any
     /// lease is outstanding or the matrix is not dense).
     pub fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>> {
-        self.leases.check_takeable(id.0)?;
-        let meta = self.meta(id)?;
-        let FileKind::Dense { rows, cols } = meta.kind else {
-            return Err(MemoryError::RegionKindMismatch {
-                region: "take_dense".to_string(),
-                storage: meta.kind.kind_str(),
-            });
-        };
-        let data = self.read_elements(meta.offset, meta.kind.stored_len(), "reading a matrix")?;
-        self.metas.remove(&id.0);
+        let (layout, data) = self.take_storage(id, "take_dense", true)?;
+        let (rows, cols) = layout.shape();
         Ok(Matrix::from_col_major(rows, cols, data)?)
     }
 
     /// Reads a symmetric matrix out of the file and deregisters it.
     pub fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>> {
-        self.leases.check_takeable(id.0)?;
-        let meta = self.meta(id)?;
-        let FileKind::Symmetric { order } = meta.kind else {
-            return Err(MemoryError::RegionKindMismatch {
-                region: "take_symmetric".to_string(),
-                storage: meta.kind.kind_str(),
-            });
-        };
-        let data = self.read_elements(meta.offset, meta.kind.stored_len(), "reading a matrix")?;
-        self.metas.remove(&id.0);
-        Ok(SymMatrix::from_packed(order, data)?)
+        let (layout, data) = self.take_storage(id, "take_symmetric", false)?;
+        Ok(SymMatrix::from_packed(layout.shape().0, data)?)
     }
 }
 
@@ -487,10 +381,39 @@ impl<T: Scalar> MachineOps<T> for FileSlowMemory<T> {
 mod tests {
     use super::*;
     use crate::machine::OocMachine;
+    use crate::shared::SharedSlowMemory;
     use symla_matrix::generate::{random_matrix_seeded, random_symmetric, seeded_rng};
+    use symla_matrix::packed::packed_lower_index;
 
-    /// Runs the same load/mutate/store sequence against the simulated and the
-    /// file-backed machine; results and stats must agree exactly.
+    /// The file tier's old run algorithm, kept as the oracle for
+    /// [`Layout::for_each_run`]: every cell of `region` through its storage
+    /// index, split into maximal runs of consecutive indices.
+    fn runs_of_cells(layout: Layout, region: &Region) -> Vec<(usize, usize)> {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (i, j) in region.cells() {
+            let index = match layout {
+                Layout::Dense { rows, .. } => i + j * rows,
+                Layout::Packed { n } => packed_lower_index(n, i, j),
+            };
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == index => *len += 1,
+                _ => runs.push((index, 1)),
+            }
+        }
+        runs
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Sweeps every region kind (empty regions, single cells, regions on the
+    /// last row and column, a `SymRect` ending on the diagonal, consecutive
+    /// and scattered row sets, `SymPairs` of 0, 1, 2 and many rows) through
+    /// the same load/mutate/store sequence on the simulated machine, a
+    /// shared-slow-memory worker and the file-backed machine. Each region's
+    /// storage runs must equal the maximal runs of its cells, and buffers,
+    /// results and stats must agree bitwise across the three.
     #[test]
     fn mirrors_the_simulated_machine() {
         let a: Matrix<f64> = random_matrix_seeded(8, 6, 710);
@@ -498,9 +421,13 @@ mod tests {
         let s: SymMatrix<f64> = random_symmetric(7, &mut rng);
 
         let mut sim = OocMachine::<f64>::with_capacity(64);
+        let shared = SharedSlowMemory::<f64>::new();
         let mut fil = FileSlowMemory::<f64>::with_capacity(64).unwrap();
         let sa = sim.insert_dense(a.clone());
         let ss = sim.insert_symmetric(s.clone());
+        assert_eq!(shared.insert_dense(a.clone()), sa);
+        assert_eq!(shared.insert_symmetric(s.clone()), ss);
+        let mut work = shared.worker(MachineConfig::with_capacity(64));
         let fa = fil.insert_dense(a.clone()).unwrap();
         let fs = fil.insert_symmetric(s.clone()).unwrap();
         assert_eq!(sa, fa);
@@ -508,56 +435,121 @@ mod tests {
         assert_eq!(fil.shape(fa).unwrap(), (8, 6));
         assert_eq!(fil.shape(fs).unwrap(), (7, 7));
 
+        let rows = |rows: &[usize], col0, cols| Region::Rows {
+            rows: rows.to_vec(),
+            col0,
+            cols,
+        };
+        let sym_rows = |rows: &[usize], col0, cols| Region::SymRows {
+            rows: rows.to_vec(),
+            col0,
+            cols,
+        };
+        let pairs = |rows: &[usize]| Region::SymPairs {
+            rows: rows.to_vec(),
+        };
+        let tri = |start, size| Region::SymLowerTriangle { start, size };
         let regions: Vec<(MatrixId, Region)> = vec![
+            (sa, Region::rect(0, 0, 0, 3)),
+            (sa, Region::rect(8, 6, 0, 0)),
+            (sa, Region::rect(3, 2, 1, 1)),
             (sa, Region::rect(1, 2, 4, 3)),
-            (
-                sa,
-                Region::Rows {
-                    rows: vec![0, 3, 7],
-                    col0: 1,
-                    cols: 2,
-                },
-            ),
-            (ss, Region::SymLowerTriangle { start: 2, size: 3 }),
+            (sa, Region::rect(5, 3, 3, 3)),
+            (sa, Region::rect(0, 1, 8, 3)),
+            (sa, Region::rect(0, 0, 8, 6)),
+            (sa, rows(&[], 1, 2)),
+            (sa, rows(&[2, 5], 4, 0)),
+            (sa, rows(&[7], 5, 1)),
+            (sa, rows(&[0, 3, 7], 1, 2)),
+            (sa, rows(&[2, 3, 4, 5], 0, 3)),
+            (sa, rows(&[6, 7, 0, 1], 4, 2)),
+            (ss, Region::sym_rect(4, 0, 0, 2)),
+            (ss, Region::sym_rect(6, 6, 1, 1)),
             (ss, Region::sym_rect(4, 0, 3, 2)),
-            (
-                ss,
-                Region::SymPairs {
-                    rows: vec![0, 2, 5, 6],
-                },
-            ),
-            (
-                ss,
-                Region::SymRows {
-                    rows: vec![5, 6],
-                    col0: 0,
-                    cols: 2,
-                },
-            ),
+            (ss, Region::sym_rect(3, 2, 4, 2)),
+            (ss, Region::sym_rect(2, 0, 5, 3)),
+            (ss, tri(3, 0)),
+            (ss, tri(6, 1)),
+            (ss, tri(2, 3)),
+            (ss, tri(4, 3)),
+            (ss, tri(0, 7)),
+            (ss, pairs(&[])),
+            (ss, pairs(&[4])),
+            (ss, pairs(&[2, 6])),
+            (ss, pairs(&[0, 1, 2])),
+            (ss, pairs(&[0, 2, 5, 6])),
+            (ss, pairs(&[1, 2, 3, 4, 5, 6])),
+            (ss, sym_rows(&[], 0, 2)),
+            (ss, sym_rows(&[6], 6, 1)),
+            (ss, sym_rows(&[5, 6], 0, 2)),
+            (ss, sym_rows(&[3, 4, 5, 6], 2, 2)),
+            (ss, sym_rows(&[6, 3, 5], 1, 3)),
         ];
         for (id, region) in regions {
+            let layout = fil.matrices.get(id).unwrap().layout;
+            let mut runs = Vec::new();
+            layout.for_each_run(&region, |start, len| runs.push((start, len)));
+            assert_eq!(runs, runs_of_cells(layout, &region), "{region}");
+
             sim.set_phase("mix");
+            work.set_phase("mix");
             fil.set_phase("mix");
-            let mut sb = sim.load(id, region.clone()).unwrap();
-            let mut fb = fil.load(id, region).unwrap();
-            assert_eq!(sb.as_slice(), fb.as_slice(), "gather order must match");
-            for (x, y) in sb.as_mut_slice().iter_mut().zip(fb.as_mut_slice()) {
-                *x = 2.0 * *x + 1.0;
-                *y = 2.0 * *y + 1.0;
+            let mut bufs = [
+                sim.load(id, region.clone()).unwrap(),
+                work.load(id, region.clone()).unwrap(),
+                fil.load(id, region.clone()).unwrap(),
+            ];
+            let gathered = bits(bufs[0].as_slice());
+            assert_eq!(gathered.len(), region.len(), "{region}");
+            for buf in &mut bufs {
+                assert_eq!(bits(buf.as_slice()), gathered, "{region}");
+                for x in buf.as_mut_slice() {
+                    *x = 2.0 * *x + 1.0;
+                }
             }
+            let [sb, wb, fb] = bufs;
             sim.store(sb).unwrap();
+            work.store(wb).unwrap();
             fil.store(fb).unwrap();
         }
+        assert_eq!(sim.stats(), work.stats());
         assert_eq!(sim.stats(), fil.stats());
         assert_eq!(fil.stats().phase("mix").loads, fil.stats().volume.loads);
+        drop(work);
 
-        let (sim_a, fil_a) = (sim.take_dense(sa).unwrap(), fil.take_dense(fa).unwrap());
-        let (sim_s, fil_s) = (
-            sim.take_symmetric(ss).unwrap(),
-            fil.take_symmetric(fs).unwrap(),
+        let sim_a = sim.take_dense(sa).unwrap();
+        assert_eq!(
+            bits(shared.take_dense(sa).unwrap().as_slice()),
+            bits(sim_a.as_slice())
         );
-        assert_eq!(sim_a.as_slice(), fil_a.as_slice());
-        assert_eq!(sim_s.as_packed(), fil_s.as_packed());
+        assert_eq!(
+            bits(fil.take_dense(fa).unwrap().as_slice()),
+            bits(sim_a.as_slice())
+        );
+        let sim_s = sim.take_symmetric(ss).unwrap();
+        assert_eq!(
+            bits(shared.take_symmetric(ss).unwrap().as_packed()),
+            bits(sim_s.as_packed())
+        );
+        assert_eq!(
+            bits(fil.take_symmetric(fs).unwrap().as_packed()),
+            bits(sim_s.as_packed())
+        );
+    }
+
+    /// A write-back that fails (here: the backing file reopened read-only)
+    /// still takes the buffer out of fast memory and returns its lease, as
+    /// the shared memory's workers do, and counts no store traffic.
+    #[test]
+    fn failed_write_releases_residency_and_the_lease() {
+        let mut fil = FileSlowMemory::<f64>::with_capacity(16).unwrap();
+        let id = fil.insert_dense(Matrix::zeros(4, 4)).unwrap();
+        let buf = fil.load(id, Region::rect(0, 0, 2, 2)).unwrap();
+        fil.file = File::open(&fil.path).unwrap();
+        assert!(matches!(fil.store(buf), Err(MemoryError::Io { .. })));
+        assert_eq!(fil.resident(), 0);
+        assert_eq!(fil.stats().volume.stores, 0);
+        assert!(fil.take_dense(id).is_ok());
     }
 
     #[test]
@@ -654,14 +646,5 @@ mod tests {
         assert!(path.exists());
         drop(fil);
         assert!(!path.exists());
-    }
-
-    #[test]
-    fn runs_coalesce_consecutive_indices() {
-        assert_eq!(
-            FileSlowMemory::<f64>::runs(&[3, 4, 5, 9, 10, 2]),
-            vec![(3, 3), (9, 2), (2, 1)]
-        );
-        assert!(FileSlowMemory::<f64>::runs(&[]).is_empty());
     }
 }

@@ -19,8 +19,7 @@ use crate::error::{MemoryError, Result};
 use crate::level::Level;
 use crate::region::Region;
 use crate::stats::IoStats;
-use crate::storage::SlowMatrix;
-use std::collections::BTreeMap;
+use crate::storage::{Registry, SlowMatrix};
 use std::sync::atomic::{AtomicU64, Ordering};
 use symla_matrix::kernels::FlopCount;
 use symla_matrix::views::{MatView, MatViewMut, PackedLowerView, PackedLowerViewMut};
@@ -289,17 +288,28 @@ impl Ledger {
         self.stats.observe_resident(self.resident);
     }
 
-    /// Releases `elements` of residency.
+    /// Releases `elements` of residency (a buffer left fast memory).
     pub(crate) fn release(&mut self, elements: usize) {
         self.resident -= elements;
     }
 
-    /// Accounts a completed store of `elements` at tier `level`.
-    pub(crate) fn note_store(&mut self, elements: usize, level: Level) {
+    /// Accounts a store of `elements` at tier `level` whose write-back ended
+    /// in `written`. The buffer leaves fast memory either way, because the
+    /// store consumed it, so residency drops either way; only a write that
+    /// landed counts as store traffic (a failed one may have landed in part).
+    pub(crate) fn settle_store<R>(
+        &mut self,
+        elements: usize,
+        level: Level,
+        written: Result<R>,
+    ) -> Result<R> {
+        self.release(elements);
+        let out = written?;
         self.stats.record_store(elements, &self.phase);
         if !level.is_default() {
             self.stats.record_level_store(level.raw(), elements);
         }
+        Ok(out)
     }
 
     pub(crate) fn stats(&self) -> &IoStats {
@@ -315,53 +325,21 @@ impl Ledger {
     }
 }
 
-/// Per-matrix lease counts of a machine that owns its matrices: a matrix
-/// with buffers still out in fast memory cannot be taken out.
-#[derive(Debug, Default)]
-pub(crate) struct Leases(BTreeMap<u64, usize>);
-
-impl Leases {
-    /// Opens the account of a newly registered matrix.
-    pub(crate) fn register(&mut self, id: u64) {
-        self.0.insert(id, 0);
-    }
-
-    pub(crate) fn take(&mut self, id: MatrixId) {
-        *self.0.get_mut(&id.0).expect("lease entry exists") += 1;
-    }
-
-    pub(crate) fn release(&mut self, id: MatrixId) {
-        if let Some(count) = self.0.get_mut(&id.0) {
-            *count = count.saturating_sub(1);
-        }
-    }
-
-    pub(crate) fn check_takeable(&self, id: u64) -> Result<()> {
-        match self.0.get(&id) {
-            None => Err(MemoryError::UnknownMatrix { id }),
-            Some(&count) if count > 0 => Err(MemoryError::LeasesOutstanding { id, count }),
-            Some(_) => Ok(()),
-        }
-    }
-}
-
 /// The simulated two-level memory machine.
 #[derive(Debug)]
 pub struct OocMachine<T: Scalar> {
-    matrices: BTreeMap<u64, SlowMatrix<T>>,
+    matrices: Registry<SlowMatrix<T>>,
     next_id: u64,
     ledger: Ledger,
-    leases: Leases,
 }
 
 impl<T: Scalar> OocMachine<T> {
     /// Creates a machine with the given configuration.
     pub fn new(config: MachineConfig) -> Self {
         Self {
-            matrices: BTreeMap::new(),
+            matrices: Registry::default(),
             next_id: 0,
             ledger: Ledger::new(config),
-            leases: Leases::default(),
         }
     }
 
@@ -394,16 +372,12 @@ impl<T: Scalar> OocMachine<T> {
         let id = self.next_id;
         self.next_id += 1;
         self.matrices.insert(id, m);
-        self.leases.register(id);
         MatrixId(id)
     }
 
     /// Logical shape of a registered matrix.
     pub fn shape(&self, id: MatrixId) -> Result<(usize, usize)> {
-        self.matrices
-            .get(&id.0)
-            .map(|m| m.shape())
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })
+        Ok(self.matrices.get(id)?.shape())
     }
 
     /// Declares the current phase; subsequent transfers are attributed to it.
@@ -424,13 +398,8 @@ impl<T: Scalar> OocMachine<T> {
 
     fn load_at(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         self.ledger.check_capacity(region.len())?;
-        let matrix = self
-            .matrices
-            .get(&id.0)
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
-        let data = matrix.gather(&region)?;
+        let data = self.matrices.lease(id, |m| m.gather(&region))?;
         self.ledger.admit_load(region.len(), level);
-        self.leases.take(id);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
     }
 
@@ -440,14 +409,8 @@ impl<T: Scalar> OocMachine<T> {
     pub fn allocate_zeroed(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
         let elements = region.len();
         self.ledger.check_capacity(elements)?;
-        let matrix = self
-            .matrices
-            .get(&id.0)
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
-        // Validate the region against the matrix without transferring data.
-        matrix.validate_region(&region)?;
+        self.matrices.lease(id, |m| m.validate_region(&region))?;
         self.ledger.admit_alloc(elements);
-        self.leases.take(id);
         Ok(FastBuf::from_parts(
             vec![T::ZERO; elements],
             id,
@@ -464,23 +427,17 @@ impl<T: Scalar> OocMachine<T> {
 
     fn store_at(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag)?;
-        let matrix = self
+        let written = self
             .matrices
-            .get_mut(&buf.matrix.0)
-            .ok_or(MemoryError::UnknownMatrix { id: buf.matrix.0 })?;
-        matrix.scatter(&buf.region, &buf.data)?;
-        self.ledger.release(buf.len());
-        self.leases.release(buf.matrix);
-        self.ledger.note_store(buf.len(), level);
-        Ok(())
+            .release(buf.matrix, |m| m.scatter(&buf.region, &buf.data));
+        self.ledger.settle_store(buf.len(), level, written)
     }
 
     /// Releases a buffer without writing it back (no store traffic).
     pub fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag)?;
         self.ledger.release(buf.len());
-        self.leases.release(buf.matrix);
-        Ok(())
+        self.matrices.release(buf.matrix, |_| Ok(()))
     }
 
     /// Records arithmetic work performed by the schedule.
@@ -497,63 +454,32 @@ impl<T: Scalar> OocMachine<T> {
     /// fast-memory buffer leased from it is still outstanding, or if the
     /// matrix is not dense).
     pub fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>> {
-        self.leases.check_takeable(id.0)?;
-        match self.matrices.remove(&id.0) {
-            Some(SlowMatrix::Dense(m)) => Ok(m),
-            Some(other) => {
-                let kind = other.kind();
-                self.matrices.insert(id.0, other);
-                Err(MemoryError::RegionKindMismatch {
-                    region: "take_dense".to_string(),
-                    storage: kind,
-                })
-            }
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        }
+        self.matrices.take(id, "take_dense", SlowMatrix::into_dense)
     }
 
     /// Removes a symmetric matrix from slow memory and returns it.
     pub fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>> {
-        self.leases.check_takeable(id.0)?;
-        match self.matrices.remove(&id.0) {
-            Some(SlowMatrix::Symmetric(s)) => Ok(s),
-            Some(other) => {
-                let kind = other.kind();
-                self.matrices.insert(id.0, other);
-                Err(MemoryError::RegionKindMismatch {
-                    region: "take_symmetric".to_string(),
-                    storage: kind,
-                })
-            }
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        }
+        self.matrices
+            .take(id, "take_symmetric", SlowMatrix::into_symmetric)
     }
 
     /// Read-only access to a dense matrix still registered in slow memory
     /// (for verification at the end of a run; does not count as I/O since it
     /// is an out-of-band inspection, not part of the schedule).
     pub fn peek_dense(&self, id: MatrixId) -> Result<&Matrix<T>> {
-        match self.matrices.get(&id.0) {
-            Some(SlowMatrix::Dense(m)) => Ok(m),
-            Some(other) => Err(MemoryError::RegionKindMismatch {
-                region: "peek_dense".to_string(),
-                storage: other.kind(),
-            }),
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        }
+        self.matrices.peek(id, "peek_dense", |m| match m {
+            SlowMatrix::Dense(d) => Some(d),
+            SlowMatrix::Symmetric(_) => None,
+        })
     }
 
     /// Read-only access to a symmetric matrix still registered in slow
     /// memory.
     pub fn peek_symmetric(&self, id: MatrixId) -> Result<&SymMatrix<T>> {
-        match self.matrices.get(&id.0) {
-            Some(SlowMatrix::Symmetric(s)) => Ok(s),
-            Some(other) => Err(MemoryError::RegionKindMismatch {
-                region: "peek_symmetric".to_string(),
-                storage: other.kind(),
-            }),
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        }
+        self.matrices.peek(id, "peek_symmetric", |m| match m {
+            SlowMatrix::Symmetric(s) => Some(s),
+            SlowMatrix::Dense(_) => None,
+        })
     }
 }
 

@@ -19,7 +19,9 @@
 //!   every strictly-subdiagonal pair of a row-index set `R`.
 //!
 //! The documentation of each variant states the buffer layout used when the
-//! region is materialized in fast memory.
+//! region is materialized in fast memory. One crate-private visitor walks
+//! that layout as column runs; [`Region::cells`] and the gather and scatter
+//! of every slow memory (in memory, sharded or file-backed) derive from it.
 
 use std::fmt;
 
@@ -147,14 +149,28 @@ impl Region {
 
     /// The matrix coordinates the region covers, in **buffer layout order**:
     /// `cells()[i]` is the element a fast-memory buffer holding this region
-    /// stores at offset `i` (the order `SlowMatrix::gather` fills the
-    /// buffer). Symmetric regions report lower-triangle coordinates
-    /// (`row >= col`).
+    /// stores at offset `i`. Symmetric regions report lower-triangle
+    /// coordinates (`row >= col`). The order comes from the crate's one
+    /// run visitor over the region, which every machine also gathers and
+    /// scatters by, so no consumer can disagree with the buffers.
     ///
     /// This is what the schedule-optimization passes and the trace audits
     /// use to reason about overlap and provenance at element granularity.
     pub fn cells(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.len());
+        self.for_each_run(|i, j, len| out.extend((i..i + len).map(|r| (r, j))));
+        debug_assert_eq!(out.len(), self.len());
+        out
+    }
+
+    /// Visits the region's cells in buffer layout order as column runs:
+    /// `f(i, j, len)` stands for the cells `(i..i + len, j)`, the next `len`
+    /// offsets of the buffer. This is the one definition of buffer order;
+    /// [`Region::cells`] and every machine's gather and scatter derive from
+    /// it. Forced inline, so that a gather's per-cell closure inlines into
+    /// these loops.
+    #[inline(always)]
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
         match self {
             Region::Rect {
                 row0,
@@ -167,37 +183,21 @@ impl Region {
                 col0,
                 rows,
                 cols,
-            } => {
-                for j in 0..*cols {
-                    for i in 0..*rows {
-                        out.push((row0 + i, col0 + j));
-                    }
-                }
-            }
+            } => (0..*cols).for_each(|j| f(*row0, col0 + j, *rows)),
             Region::Rows { rows, col0, cols } | Region::SymRows { rows, col0, cols } => {
                 for j in 0..*cols {
-                    for &r in rows {
-                        out.push((r, col0 + j));
-                    }
+                    rows.iter().for_each(|&r| f(r, col0 + j, 1));
                 }
             }
             Region::SymLowerTriangle { start, size } => {
-                for j in 0..*size {
-                    for i in j..*size {
-                        out.push((start + i, start + j));
-                    }
-                }
+                (0..*size).for_each(|j| f(start + j, start + j, size - j))
             }
             Region::SymPairs { rows } => {
                 for (a, &r) in rows.iter().enumerate() {
-                    for &rp in rows.iter().take(a) {
-                        out.push((r, rp));
-                    }
+                    rows[..a].iter().for_each(|&rp| f(r, rp, 1));
                 }
             }
         }
-        debug_assert_eq!(out.len(), self.len());
-        out
     }
 
     /// Whether this region may only be applied to dense storage.

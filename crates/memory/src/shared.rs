@@ -37,30 +37,23 @@ use crate::level::Level;
 use crate::machine::{FastBuf, Ledger, MachineConfig, MachineOps, MatrixId};
 use crate::region::Region;
 use crate::stats::IoStats;
-use crate::storage::SlowMatrix;
+use crate::storage::{Registry, SlowMatrix};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use symla_matrix::kernels::FlopCount;
 use symla_matrix::{Matrix, Scalar, SymMatrix};
 
-/// One shard of the slow memory: its matrices and their lease counts.
-///
-/// Lease accounting is *per shard*: a lease taken on one shard lives and
-/// dies in that shard's `leases` map, so releasing a buffer homed on shard
-/// `i` structurally cannot free capacity (or unblock a take) on shard `j`.
-/// Matrix ids are issued from one global counter and mapped to their home
-/// shard by `SharedState::homes`, so an id can never be resolved against
-/// the wrong shard.
-#[derive(Debug)]
-struct ShardState<T: Scalar> {
-    matrices: BTreeMap<u64, SlowMatrix<T>>,
-    leases: BTreeMap<u64, usize>,
-}
-
 /// The shards and the id→shard directory behind the shared lock.
+///
+/// Each shard is a registry of its matrices with their lease counts, so a
+/// lease taken on one shard lives and dies in that shard: releasing a buffer
+/// homed on shard `i` structurally cannot free capacity (or unblock a take)
+/// on shard `j`. Matrix ids are issued from one global counter and mapped to
+/// their home shard by `homes`, so an id can never be resolved against the
+/// wrong shard.
 #[derive(Debug)]
 struct SharedState<T: Scalar> {
-    shards: Vec<ShardState<T>>,
+    shards: Vec<Registry<SlowMatrix<T>>>,
     homes: BTreeMap<u64, usize>,
     next_id: u64,
 }
@@ -132,12 +125,7 @@ impl<T: Scalar> SharedSlowMemory<T> {
         let shards = shards.max(1);
         Self {
             state: Mutex::new(SharedState {
-                shards: (0..shards)
-                    .map(|_| ShardState {
-                        matrices: BTreeMap::new(),
-                        leases: BTreeMap::new(),
-                    })
-                    .collect(),
+                shards: (0..shards).map(|_| Registry::default()).collect(),
                 homes: BTreeMap::new(),
                 next_id: 0,
             }),
@@ -156,9 +144,10 @@ impl<T: Scalar> SharedSlowMemory<T> {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SharedState<T>> {
         // A worker can only poison the lock by panicking inside a gather /
-        // scatter, i.e. on an internal bug; the matrix data itself is still
-        // consistent (scatter writes element-wise), so recover the guard and
-        // let the remaining workers finish their accounting.
+        // scatter, i.e. on an internal bug. Every element then holds either
+        // its old or its new value (a scatter copies whole runs, each
+        // element once), so recover the guard and let the remaining workers
+        // finish their accounting.
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -174,8 +163,7 @@ impl<T: Scalar> SharedSlowMemory<T> {
         let id = state.next_id;
         state.next_id += 1;
         state.homes.insert(id, shard);
-        state.shards[shard].matrices.insert(id, m);
-        state.shards[shard].leases.insert(id, 0);
+        state.shards[shard].insert(id, m);
         MatrixId(id)
     }
 
@@ -211,11 +199,7 @@ impl<T: Scalar> SharedSlowMemory<T> {
     pub fn shape(&self, id: MatrixId) -> Result<(usize, usize)> {
         let state = self.lock();
         let shard = state.home_of(id.0)?;
-        state.shards[shard]
-            .matrices
-            .get(&id.0)
-            .map(|m| m.shape())
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })
+        Ok(state.shards[shard].get(id)?.shape())
     }
 
     /// Creates a worker with a private fast memory configured by `config`.
@@ -247,112 +231,58 @@ impl<T: Scalar> SharedSlowMemory<T> {
         }
     }
 
-    /// Takes one matrix-level lease on a valid `region` of `id`, reading
-    /// its data when `gather` is set (the worker load path; the allocate
-    /// path only validates). Returns the data and the matrix's home shard.
-    fn lease(&self, id: MatrixId, region: &Region, gather: bool) -> Result<(Vec<T>, usize)> {
+    /// Runs `f` (a worker's load or allocation) on matrix `id` and takes a
+    /// lease on it if `f` succeeds, through its home shard's registry.
+    /// Returns `f`'s result and the home shard.
+    fn lease<R>(
+        &self,
+        id: MatrixId,
+        f: impl FnOnce(&SlowMatrix<T>) -> Result<R>,
+    ) -> Result<(R, usize)> {
         let mut state = self.lock();
         let shard = state.home_of(id.0)?;
-        let matrix = state.shards[shard]
-            .matrices
-            .get(&id.0)
-            .ok_or(MemoryError::UnknownMatrix { id: id.0 })?;
-        let data = if gather {
-            matrix.gather(region)?
-        } else {
-            matrix.validate_region(region)?;
-            Vec::new()
-        };
-        *state.shards[shard]
-            .leases
-            .get_mut(&id.0)
-            .expect("lease entry exists") += 1;
-        Ok((data, shard))
+        Ok((state.shards[shard].lease(id, f)?, shard))
     }
 
-    /// Scatters a buffer back and releases its lease (worker store path).
-    /// Returns the matrix's home shard.
-    ///
-    /// The lease is released even when the scatter fails: the caller
-    /// consumes the buffer either way, so keeping the lease would strand
-    /// the matrix in a never-takeable state. A failed scatter writes
-    /// nothing (it validates the region before touching elements). The
-    /// lease is released on the matrix's *home* shard — by construction it
-    /// was taken there, so no other shard's accounting can be touched.
-    fn scatter_release(&self, id: MatrixId, region: &Region, data: &[T]) -> Result<usize> {
+    /// Returns a lease on matrix `id`, then runs `f` (a worker's write-back,
+    /// if any) on it; returns the home shard. The lease comes back even when
+    /// `f` fails (see `Registry::release`), and on the matrix's *home* shard:
+    /// by construction it was taken there, so no other shard's accounting
+    /// can be touched.
+    fn release(
+        &self,
+        id: MatrixId,
+        f: impl FnOnce(&mut SlowMatrix<T>) -> Result<()>,
+    ) -> Result<usize> {
         let mut state = self.lock();
         let shard = state.home_of(id.0)?;
-        let outcome = match state.shards[shard].matrices.get_mut(&id.0) {
-            Some(matrix) => matrix.scatter(region, data),
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        };
-        if let Some(count) = state.shards[shard].leases.get_mut(&id.0) {
-            *count = count.saturating_sub(1);
-        }
-        outcome.map(|()| shard)
+        state.shards[shard].release(id, f).map(|()| shard)
     }
 
-    /// Releases a lease without writing back (worker discard path).
-    fn release(&self, id: MatrixId) {
+    /// Removes matrix `id` from its shard through `Registry::take` and
+    /// forgets its home.
+    fn take<R>(
+        &self,
+        id: MatrixId,
+        op: &str,
+        into: impl FnOnce(SlowMatrix<T>) -> std::result::Result<R, SlowMatrix<T>>,
+    ) -> Result<R> {
         let mut state = self.lock();
-        if let Ok(shard) = state.home_of(id.0) {
-            if let Some(count) = state.shards[shard].leases.get_mut(&id.0) {
-                *count = count.saturating_sub(1);
-            }
-        }
-    }
-
-    fn check_takeable(state: &SharedState<T>, shard: usize, id: MatrixId) -> Result<()> {
-        match state.shards[shard].leases.get(&id.0) {
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-            Some(&count) if count > 0 => Err(MemoryError::LeasesOutstanding { id: id.0, count }),
-            Some(_) => Ok(()),
-        }
+        let shard = state.home_of(id.0)?;
+        let out = state.shards[shard].take(id, op, into)?;
+        state.homes.remove(&id.0);
+        Ok(out)
     }
 
     /// Removes a dense matrix from the shared slow memory and returns it
     /// (fails while any worker still holds a buffer leased from it).
     pub fn take_dense(&self, id: MatrixId) -> Result<Matrix<T>> {
-        let mut state = self.lock();
-        let shard = state.home_of(id.0)?;
-        Self::check_takeable(&state, shard, id)?;
-        match state.shards[shard].matrices.remove(&id.0) {
-            Some(SlowMatrix::Dense(m)) => {
-                state.homes.remove(&id.0);
-                Ok(m)
-            }
-            Some(other) => {
-                let kind = other.kind();
-                state.shards[shard].matrices.insert(id.0, other);
-                Err(MemoryError::RegionKindMismatch {
-                    region: "take_dense".to_string(),
-                    storage: kind,
-                })
-            }
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        }
+        self.take(id, "take_dense", SlowMatrix::into_dense)
     }
 
     /// Removes a symmetric matrix from the shared slow memory and returns it.
     pub fn take_symmetric(&self, id: MatrixId) -> Result<SymMatrix<T>> {
-        let mut state = self.lock();
-        let shard = state.home_of(id.0)?;
-        Self::check_takeable(&state, shard, id)?;
-        match state.shards[shard].matrices.remove(&id.0) {
-            Some(SlowMatrix::Symmetric(s)) => {
-                state.homes.remove(&id.0);
-                Ok(s)
-            }
-            Some(other) => {
-                let kind = other.kind();
-                state.shards[shard].matrices.insert(id.0, other);
-                Err(MemoryError::RegionKindMismatch {
-                    region: "take_symmetric".to_string(),
-                    storage: kind,
-                })
-            }
-            None => Err(MemoryError::UnknownMatrix { id: id.0 }),
-        }
+        self.take(id, "take_symmetric", SlowMatrix::into_symmetric)
     }
 }
 
@@ -437,7 +367,7 @@ impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         self.ledger.check_capacity(region.len())?;
-        let (data, shard) = self.shared.lease(id, &region, true)?;
+        let (data, shard) = self.shared.lease(id, |m| m.gather(&region))?;
         self.ledger.admit_load(region.len(), level);
         self.note_shard(shard, region.len(), true);
         Ok(FastBuf::from_parts(data, id, region, self.ledger.tag()))
@@ -446,7 +376,7 @@ impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
     fn allocate_zeroed(&mut self, id: MatrixId, region: Region) -> Result<FastBuf<T>> {
         let elements = region.len();
         self.ledger.check_capacity(elements)?;
-        self.shared.lease(id, &region, false)?;
+        self.shared.lease(id, |m| m.validate_region(&region))?;
         self.ledger.admit_alloc(elements);
         Ok(FastBuf::from_parts(
             vec![T::ZERO; elements],
@@ -462,15 +392,10 @@ impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
-        let outcome = self
+        let written = self
             .shared
-            .scatter_release(buf.matrix_id(), buf.region(), buf.as_slice());
-        // The buffer leaves fast memory whether or not the scatter landed
-        // (it is consumed by this call), so the residency drops either way;
-        // a failed transfer moves no elements and counts no traffic.
-        self.ledger.release(buf.len());
-        let shard = outcome?;
-        self.ledger.note_store(buf.len(), level);
+            .release(buf.matrix_id(), |m| m.scatter(buf.region(), buf.as_slice()));
+        let shard = self.ledger.settle_store(buf.len(), level, written)?;
         self.note_shard(shard, buf.len(), false);
         Ok(())
     }
@@ -478,7 +403,7 @@ impl<'m, T: Scalar> MachineOps<T> for WorkerMachine<'m, T> {
     fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
         self.ledger.release(buf.len());
-        self.shared.release(buf.matrix_id());
+        self.shared.release(buf.matrix_id(), |_| Ok(()))?;
         Ok(())
     }
 
@@ -650,9 +575,9 @@ mod tests {
         // the internal path with a hand-taken lease.
         let shared = SharedSlowMemory::new();
         let id = shared.insert_dense(Matrix::<f64>::zeros(4, 4));
-        *shared.lock().shards[0].leases.get_mut(&id.0).unwrap() += 1;
+        shared.lease(id, |_| Ok(())).unwrap();
         let err = shared
-            .scatter_release(id, &Region::rect(3, 3, 2, 2), &[0.0; 4])
+            .release(id, |m| m.scatter(&Region::rect(3, 3, 2, 2), &[0.0; 4]))
             .unwrap_err();
         assert!(matches!(err, MemoryError::RegionOutOfBounds { .. }));
         assert!(shared.take_dense(id).is_ok(), "lease must be released");

@@ -95,9 +95,7 @@ impl<T: Scalar> MachineOps<T> for SymbolicMachine<T> {
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag())?;
-        self.ledger.release(buf.len());
-        self.ledger.note_store(buf.len(), level);
-        Ok(())
+        self.ledger.settle_store(buf.len(), level, Ok(()))
     }
 
     fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
