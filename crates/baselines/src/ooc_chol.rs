@@ -49,51 +49,36 @@ impl OocCholPlan {
     }
 }
 
-/// Predicted I/O of `ooc_chol_execute` on a window of order `b`.
+/// Predicted I/O of `ooc_chol_execute` on a window of order `b`. Mirrors
+/// the executor exactly: one pass over the tile columns, each adding its
+/// diagonal tile and, in closed form, the off-diagonal tiles below it.
 pub fn ooc_chol_cost(b: usize, plan: &OocCholPlan) -> IoEstimate {
     let t = plan.tile;
     let mut est = IoEstimate::default();
-    let extents = tile_extents(b, t);
-    for (tj, &(c0, cc)) in extents.iter().enumerate() {
-        for (ti, &(_, rc)) in extents.iter().enumerate().skip(tj) {
-            let diag = ti == tj;
-            let tile_elems = if diag { cc * (cc + 1) / 2 } else { rc * cc } as u128;
-            est.loads += tile_elems;
-            est.stores += tile_elems;
-            // phase 1: left-looking updates with columns 0..c0
-            if diag {
-                est.loads += (c0 * cc) as u128;
-                let pairs = (c0 * cc * (cc + 1) / 2) as u128;
-                est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
-            } else {
-                est.loads += (c0 * (rc + cc)) as u128;
-                let pairs = (c0 * rc * cc) as u128;
-                est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
-            }
-            // phase 2
-            if diag {
-                // in-place Cholesky of a cc x cc tile: ~ cc^3/6 updates
-                let ccu = cc as u128;
-                let scalings = ccu * ccu.saturating_sub(1) / 2;
-                let updates = if cc == 0 {
-                    0
-                } else {
-                    ccu * (ccu * ccu - 1) / 6
-                };
-                est.flops = est
-                    .flops
-                    .merge(&FlopCount::new(scalings + updates, updates));
-            } else {
-                // stream the diagonal block's columns for the in-tile solve
-                for kk in 0..cc {
-                    est.loads += (cc - kk) as u128;
-                    let updates = (rc * (cc - kk - 1)) as u128;
-                    est.flops = est
-                        .flops
-                        .merge(&FlopCount::new(updates + rc as u128, updates));
-                }
-            }
-        }
+    for (c0, cc) in tile_extents(b, t) {
+        let (c0u, ccu) = (c0 as u128, cc as u128);
+        let tri = ccu * (ccu + 1) / 2;
+        // diagonal tile: load and store it, stream the `c0` final columns
+        // (one segment each), then factorize it in place (~cc³/6 updates)
+        est.loads += tri + c0u * ccu;
+        est.stores += tri;
+        let scalings = ccu * (ccu - 1) / 2;
+        let updates = ccu * (ccu * ccu - 1) / 6;
+        est.flops = est.flops.merge(&FlopCount::new(
+            c0u * tri + scalings + updates,
+            c0u * tri + updates,
+        ));
+        // the `tiles` tiles of `rows` rows below it: load and store each,
+        // stream two segments per final column, then the diagonal block's
+        // columns for the in-tile solve
+        let below = b - c0 - cc;
+        let (rows, tiles) = (below as u128, below.div_ceil(t) as u128);
+        est.loads += ccu * rows + c0u * (rows + tiles * ccu) + tiles * tri;
+        est.stores += ccu * rows;
+        let pairs = c0u * rows * ccu;
+        est.flops = est
+            .flops
+            .merge(&FlopCount::new(pairs + rows * tri, pairs + rows * scalings));
     }
     est
 }
@@ -250,6 +235,54 @@ mod tests {
                 "factor mismatch n={n} s={s}"
             );
             assert!(cholesky_residual(&a, &lfac) < 1e-10);
+        }
+    }
+
+    /// The oracle of the closed form: a loop over every tile the builder
+    /// emits, and over every column its in-tile solve streams.
+    fn cost_by_tiles(b: usize, t: usize) -> IoEstimate {
+        let mut est = IoEstimate::default();
+        let extents = tile_extents(b, t);
+        for (tj, &(c0, cc)) in extents.iter().enumerate() {
+            for (ti, &(_, rc)) in extents.iter().enumerate().skip(tj) {
+                let diag = ti == tj;
+                let tile_elems = if diag { cc * (cc + 1) / 2 } else { rc * cc } as u128;
+                est.loads += tile_elems;
+                est.stores += tile_elems;
+                if diag {
+                    est.loads += (c0 * cc) as u128;
+                    let pairs = (c0 * cc * (cc + 1) / 2) as u128;
+                    est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
+                    let ccu = cc as u128;
+                    let scalings = ccu * ccu.saturating_sub(1) / 2;
+                    let updates = ccu * (ccu * ccu - 1) / 6;
+                    est.flops = est
+                        .flops
+                        .merge(&FlopCount::new(scalings + updates, updates));
+                } else {
+                    est.loads += (c0 * (rc + cc)) as u128;
+                    let pairs = (c0 * rc * cc) as u128;
+                    est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
+                    for kk in 0..cc {
+                        est.loads += (cc - kk) as u128;
+                        let updates = (rc * (cc - kk - 1)) as u128;
+                        est.flops = est
+                            .flops
+                            .merge(&FlopCount::new(updates + rc as u128, updates));
+                    }
+                }
+            }
+        }
+        est
+    }
+
+    #[test]
+    fn closed_form_cost_equals_the_tile_loop() {
+        for t in 1..=20 {
+            let plan = OocCholPlan::with_tile(t).unwrap();
+            for b in 0..=90 {
+                assert_eq!(ooc_chol_cost(b, &plan), cost_by_tiles(b, t), "t={t} b={b}");
+            }
         }
     }
 

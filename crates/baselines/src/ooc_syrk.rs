@@ -51,37 +51,38 @@ impl OocSyrkPlan {
 }
 
 /// Predicted I/O volume of `ooc_syrk_execute` for a result of order `n` and
-/// an input panel with `m` columns. Mirrors the executor loop for loop,
-/// so measured I/O matches it exactly.
+/// an input panel with `m` columns. Mirrors the executor exactly: one pass
+/// over the block columns, each adding its diagonal block and, in closed
+/// form, the off-diagonal blocks below it.
 pub fn ooc_syrk_cost(n: usize, m: usize, plan: &OocSyrkPlan) -> IoEstimate {
     let t = plan.tile;
     let mut est = IoEstimate::default();
-    let extents = tile_extents(n, t);
-    for (tj, &(_, jc)) in extents.iter().enumerate() {
-        for (ti, &(_, ic)) in extents.iter().enumerate().skip(tj) {
-            if ti == tj {
-                let c_elems = (ic * (ic + 1) / 2) as u128;
-                est.loads += c_elems + (m * ic) as u128;
-                est.stores += c_elems;
-                let pairs = (m * ic * (ic + 1) / 2) as u128;
-                est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
-            } else {
-                est = est.merge(&ooc_syrk_rect_cost(ic, jc, m));
-            }
-        }
+    for (j0, jc) in tile_extents(n, t) {
+        let tri = (jc * (jc + 1) / 2) as u128;
+        let pairs = m as u128 * tri;
+        est.loads += tri + (m * jc) as u128;
+        est.stores += tri;
+        est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
+        est = est.merge(&ooc_syrk_rects_cost(n - j0 - jc, jc, m, t));
     }
     est
 }
 
-/// Predicted I/O of [`ooc_syrk_rect_build`] for an `ic × jc` block and an
-/// input panel with `m` columns.
-pub fn ooc_syrk_rect_cost(ic: usize, jc: usize, m: usize) -> IoEstimate {
-    let c_elems = (ic * jc) as u128;
-    let pairs = (m * ic * jc) as u128;
+/// Predicted I/O of the [`ooc_syrk_rect_build`] blocks that cover a
+/// `rows × cols` rectangle with blocks of side at most `tile`, as OOC_SYRK
+/// and the strip below TBS's triangle blocks emit them. Each block loads and
+/// stores its elements once and streams its rows and columns of `A` once per
+/// column of `A`, so the sum depends only on the rectangle and its block
+/// counts.
+pub fn ooc_syrk_rects_cost(rows: usize, cols: usize, m: usize, tile: usize) -> IoEstimate {
+    let tiles = |len: usize| len.div_ceil(tile) as u128;
+    let (row_tiles, col_tiles) = (tiles(rows), tiles(cols));
+    let (rows, cols, m) = (rows as u128, cols as u128, m as u128);
+    let elems = rows * cols;
     IoEstimate {
-        loads: c_elems + (m * (ic + jc)) as u128,
-        stores: c_elems,
-        flops: FlopCount::new(pairs, pairs),
+        loads: elems + m * (rows * col_tiles + cols * row_tiles),
+        stores: elems,
+        flops: FlopCount::new(m * elems, m * elems),
     }
 }
 
@@ -264,6 +265,63 @@ mod tests {
                 "stores n={n} m={m} s={s}"
             );
             assert_eq!(est.flops, stats.flops, "flops n={n} m={m} s={s}");
+        }
+    }
+
+    /// One off-diagonal block, as `ooc_syrk_rect_build` emits it.
+    fn block_cost(ic: usize, jc: usize, m: usize) -> IoEstimate {
+        let c_elems = (ic * jc) as u128;
+        let pairs = (m * ic * jc) as u128;
+        IoEstimate {
+            loads: c_elems + (m * (ic + jc)) as u128,
+            stores: c_elems,
+            flops: FlopCount::new(pairs, pairs),
+        }
+    }
+
+    /// The oracle of the closed forms: a loop over every block the builder
+    /// emits.
+    fn cost_by_blocks(n: usize, m: usize, t: usize) -> IoEstimate {
+        let mut est = IoEstimate::default();
+        let extents = tile_extents(n, t);
+        for (tj, &(_, jc)) in extents.iter().enumerate() {
+            for (ti, &(_, ic)) in extents.iter().enumerate().skip(tj) {
+                if ti == tj {
+                    let c_elems = (ic * (ic + 1) / 2) as u128;
+                    est.loads += c_elems + (m * ic) as u128;
+                    est.stores += c_elems;
+                    let pairs = (m * ic * (ic + 1) / 2) as u128;
+                    est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
+                } else {
+                    est = est.merge(&block_cost(ic, jc, m));
+                }
+            }
+        }
+        est
+    }
+
+    #[test]
+    fn closed_form_costs_equal_the_block_loop() {
+        for t in 1..=20 {
+            let plan = OocSyrkPlan::with_tile(t).unwrap();
+            for n in 0..=90 {
+                for m in (0..=130).step_by(5) {
+                    let ctx = format!("t={t} n={n} m={m}");
+                    assert_eq!(ooc_syrk_cost(n, m, &plan), cost_by_blocks(n, m, t), "{ctx}");
+                }
+                for cols in [0, 1, 7, 16, 45, 90] {
+                    for m in [0, 1, 5, 64] {
+                        let mut by_blocks = IoEstimate::default();
+                        for (_, ic) in tile_extents(n, t) {
+                            for (_, jc) in tile_extents(cols, t) {
+                                by_blocks = by_blocks.merge(&block_cost(ic, jc, m));
+                            }
+                        }
+                        let ctx = format!("t={t} rows={n} cols={cols} m={m}");
+                        assert_eq!(ooc_syrk_rects_cost(n, cols, m, t), by_blocks, "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -45,29 +45,25 @@ impl OocTrsmPlan {
 }
 
 /// Predicted I/O of `ooc_trsm_execute` for an `m × b` panel and an order-`b`
-/// triangular block.
+/// triangular block. Mirrors the executor exactly: one pass over the tile
+/// columns of `X`, with the tiles of each column summed in closed form.
 pub fn ooc_trsm_cost(m: usize, b: usize, plan: &OocTrsmPlan) -> IoEstimate {
     let t = plan.tile;
+    let (mu, tiles) = (m as u128, m.div_ceil(t) as u128);
     let mut est = IoEstimate::default();
-    for &(_, rc) in &tile_extents(m, t) {
-        for &(c0, cc) in &tile_extents(b, t) {
-            // load + store the X tile
-            est.loads += (rc * cc) as u128;
-            est.stores += (rc * cc) as u128;
-            // phase A: one column of X and one column segment of L per
-            // previous column
-            est.loads += (c0 * (rc + cc)) as u128;
-            let pairs = (c0 * rc * cc) as u128;
-            est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
-            // phase B: stream the columns of the diagonal block of L
-            for kk in 0..cc {
-                est.loads += (cc - kk) as u128;
-                let updates = (rc * (cc - kk - 1)) as u128;
-                est.flops = est
-                    .flops
-                    .merge(&FlopCount::new(updates + rc as u128, updates));
-            }
-        }
+    for (c0, cc) in tile_extents(b, t) {
+        let (c0u, ccu) = (c0 as u128, cc as u128);
+        let tri = ccu * (ccu + 1) / 2;
+        // load + store the X tiles; phase A streams one column of X and one
+        // column segment of L per previous column; phase B streams the
+        // columns of the diagonal block of L
+        est.loads += mu * ccu + c0u * (mu + tiles * ccu) + tiles * tri;
+        est.stores += mu * ccu;
+        let pairs = c0u * mu * ccu;
+        est.flops = est.flops.merge(&FlopCount::new(
+            pairs + mu * tri,
+            pairs + mu * (ccu * (ccu - 1) / 2),
+        ));
     }
     est
 }
@@ -220,6 +216,42 @@ mod tests {
             let got = machine.take_dense(x_id).unwrap();
             assert!(got.approx_eq(&expected, 1e-9), "m={m} b={b} s={s}");
             assert!(trsm_right_lt_residual(&lfac, &x0, &got) < 1e-9);
+        }
+    }
+
+    /// The oracle of the closed form: a loop over every tile the builder
+    /// emits, and over every column its in-tile solve streams.
+    fn cost_by_tiles(m: usize, b: usize, t: usize) -> IoEstimate {
+        let mut est = IoEstimate::default();
+        for &(_, rc) in &tile_extents(m, t) {
+            for &(c0, cc) in &tile_extents(b, t) {
+                est.loads += (rc * cc) as u128;
+                est.stores += (rc * cc) as u128;
+                est.loads += (c0 * (rc + cc)) as u128;
+                let pairs = (c0 * rc * cc) as u128;
+                est.flops = est.flops.merge(&FlopCount::new(pairs, pairs));
+                for kk in 0..cc {
+                    est.loads += (cc - kk) as u128;
+                    let updates = (rc * (cc - kk - 1)) as u128;
+                    est.flops = est
+                        .flops
+                        .merge(&FlopCount::new(updates + rc as u128, updates));
+                }
+            }
+        }
+        est
+    }
+
+    #[test]
+    fn closed_form_cost_equals_the_tile_loop() {
+        for t in 1..=20 {
+            let plan = OocTrsmPlan::with_tile(t).unwrap();
+            for b in 0..=90 {
+                for m in (0..=130).step_by(5) {
+                    let ctx = format!("t={t} m={m} b={b}");
+                    assert_eq!(ooc_trsm_cost(m, b, &plan), cost_by_tiles(m, b, t), "{ctx}");
+                }
+            }
         }
     }
 

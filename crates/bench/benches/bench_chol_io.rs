@@ -22,7 +22,7 @@ fn run_bereux(a: &SymMatrix<f64>) -> u64 {
 
 fn run_lbc(a: &SymMatrix<f64>, trailing: TrailingUpdate) -> u64 {
     let n = a.order();
-    let plan = LbcPlan::for_problem(n, S).unwrap().with_trailing(trailing);
+    let plan = LbcPlan::paper(n, S).unwrap().with_trailing(trailing);
     let mut machine = OocMachine::with_capacity(S);
     let id = machine.insert_symmetric(a.clone());
     lbc_execute(&mut machine, &SymWindowRef::full(id, n), &plan).unwrap();
@@ -50,7 +50,7 @@ fn bench_out_of_core_cholesky(c: &mut Criterion) {
 fn bench_lbc_cost_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("cholesky analytic cost models");
     for &n in &[2048_usize, 4096] {
-        let plan = LbcPlan::for_problem(n, S).unwrap();
+        let plan = LbcPlan::paper(n, S).unwrap();
         group.bench_with_input(BenchmarkId::new("LBC cost", n), &n, |b, &n| {
             b.iter(|| lbc_cost(n, &plan).unwrap())
         });

@@ -190,7 +190,7 @@ fn lbc_case(n: usize, s: usize) -> Case {
     Case {
         algorithm: format!("lbc n={n}"),
         memory: s,
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+        schedule: lbc_schedule(&window, &LbcPlan::paper(n, s).unwrap()).unwrap(),
         mats: vec![Mat::Sym(spd)],
     }
 }

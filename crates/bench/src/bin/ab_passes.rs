@@ -100,7 +100,7 @@ fn cholesky_case(algorithm: &str, n: usize, s: usize) -> Case {
     let spd: SymMatrix<f64> = random_spd_seeded(n, 4300 + n as u64);
     let window = SymWindowRef::full(MatrixId::synthetic(0), n);
     let schedule = match algorithm {
-        "lbc" => lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+        "lbc" => lbc_schedule(&window, &LbcPlan::paper(n, s).unwrap()).unwrap(),
         "ooc_chol" => ooc_chol_schedule(&window, &OocCholPlan::for_memory(s).unwrap()),
         other => unreachable!("unknown Cholesky algorithm {other}"),
     };

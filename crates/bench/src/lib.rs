@@ -179,7 +179,7 @@ pub fn e1_operational_intensity() -> Table {
     let tbs = tbs_cost(n, n, &tbs_plan).expect("cost");
     let tbs_oi = tbs.flops.mults as f64 / tbs.loads as f64;
 
-    let lbc_plan = LbcPlan::for_problem(n, s).expect("plan");
+    let lbc_plan = LbcPlan::paper(n, s).expect("plan");
     let lbc = lbc_cost(n, &lbc_plan).expect("cost");
     let lbc_oi = lbc.flops.mults as f64 / lbc.loads as f64;
 
@@ -326,26 +326,32 @@ pub fn e3_cholesky_io() -> Table {
     );
     for &n in &[96_usize, 192, 288, 768, 1536, 3072, 6144] {
         let executed = n <= 288;
+        let plan = LbcPlan::paper(n, s).expect("plan");
+        let square = plan.with_trailing(TrailingUpdate::OocSyrk);
         let (bereux, lbc_sq, lbc) = if executed {
             let a = generate::random_spd_seeded::<f64>(n, n as u64);
-            let mut loads = Vec::new();
-            for algo in [
-                CholeskyAlgorithm::Bereux,
-                CholeskyAlgorithm::LbcSquare,
-                CholeskyAlgorithm::Lbc,
-            ] {
-                let (_, report) = cholesky_out_of_core(&a, s, algo).expect("run");
-                assert!(report.prediction_matches());
-                loads.push(report.measured_loads() as u128);
-            }
-            (loads[0], loads[1], loads[2])
+            let (_, report) = cholesky_out_of_core(&a, s, CholeskyAlgorithm::Bereux).expect("run");
+            assert!(report.prediction_matches());
+            // The API plans its own panel width, so LBC at the paper's b
+            // runs through the machine directly.
+            let run_lbc = |plan: &LbcPlan| {
+                let mut machine = symla_memory::OocMachine::<f64>::with_capacity(s);
+                let id = machine.insert_symmetric(a.clone());
+                let window = symla_memory::SymWindowRef::full(id, n);
+                symla_core::lbc_execute(&mut machine, &window, plan).expect("LBC run");
+                let loads = machine.stats().volume.loads as u128;
+                assert_eq!(loads, lbc_cost(n, plan).expect("cost").loads);
+                loads
+            };
+            (
+                report.measured_loads() as u128,
+                run_lbc(&square),
+                run_lbc(&plan),
+            )
         } else {
-            let plan = LbcPlan::for_problem(n, s).expect("plan");
             (
                 ooc_chol_cost(n, &OocCholPlan::for_memory(s).expect("plan")).loads,
-                lbc_cost(n, &plan.with_trailing(TrailingUpdate::OocSyrk))
-                    .expect("cost")
-                    .loads,
+                lbc_cost(n, &square).expect("cost").loads,
                 lbc_cost(n, &plan).expect("cost").loads,
             )
         };
@@ -398,7 +404,7 @@ pub fn e4_asymptotic_constants() -> Table {
 
         let denom_chol = (n as f64).powi(3) / (s as f64).sqrt();
         let chol = ooc_chol_cost(n, &chol_plan).loads as f64 / denom_chol;
-        let lbc_plan = LbcPlan::for_problem(n, s).expect("plan");
+        let lbc_plan = LbcPlan::paper(n, s).expect("plan");
         let lbc = lbc_cost(n, &lbc_plan).expect("cost").loads as f64 / denom_chol;
 
         table.push_row(vec![
@@ -531,7 +537,7 @@ pub fn e7_lbc_blocksize() -> Table {
     let mut block_sizes = vec![8_usize, 16, 32, 64, sqrt_n, 128, 256, 512, 1024, 2048];
     block_sizes.dedup();
     for &b in &block_sizes {
-        let plan = LbcPlan::for_problem(n, s)
+        let plan = LbcPlan::paper(n, s)
             .expect("plan")
             .with_block(b)
             .expect("block");
@@ -549,6 +555,13 @@ pub fn e7_lbc_blocksize() -> Table {
         ]);
     }
     table.push_note(&format!("the paper's choice is b = sqrt(N) = {sqrt_n}"));
+    let planned = LbcPlan::for_problem(n, s).expect("plan");
+    let planned_loads = lbc_cost(n, &planned).expect("cost").loads;
+    table.push_note(&format!(
+        "the planner's exact argmin over every b is b = {} with {} loads",
+        planned.block,
+        fmt_u(planned_loads)
+    ));
     table.push_note("small b inflates the trailing reload term, large b inflates the TRSM term");
     table
 }
@@ -575,7 +588,7 @@ pub fn e8_memory_sweep() -> Table {
         let sq = ooc_syrk_cost(n, m, &OocSyrkPlan::for_memory(s).expect("plan"));
         let tbs = tbs_cost(n, m, &TbsPlan::for_memory(s).expect("plan")).expect("cost");
         let chol = ooc_chol_cost(n, &OocCholPlan::for_memory(s).expect("plan"));
-        let lbc = lbc_cost(n, &LbcPlan::for_problem(n, s).expect("plan")).expect("cost");
+        let lbc = lbc_cost(n, &LbcPlan::paper(n, s).expect("plan")).expect("cost");
         table.push_row(vec![
             s.to_string(),
             fmt_u(sq.loads),

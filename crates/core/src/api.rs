@@ -79,7 +79,9 @@ impl SyrkAlgorithm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CholeskyAlgorithm {
     /// The paper's Large Block Cholesky with element-level TBS trailing
-    /// updates.
+    /// updates, at the panel width of [`LbcPlan::for_problem`]: the one its
+    /// exact cost model prefers, a single panel (OOC_CHOL of the whole
+    /// matrix) when the matrix is small against the memory.
     Lbc,
     /// LBC with tiled-TBS trailing updates: the same builder as
     /// [`CholeskyAlgorithm::Lbc`], with each trailing update's `(k, b)` from
@@ -715,10 +717,10 @@ impl<T: Scalar> Job<T> {
                         return Ok((ooc_chol_cost(n, &plan), schedule));
                     }
                 };
-                let mut plan = LbcPlan::for_problem(n, s)?;
-                if let Some(t) = tile {
-                    plan = plan.with_block(t)?;
-                }
+                let plan = match tile {
+                    None => LbcPlan::for_problem(n, s)?,
+                    Some(t) => LbcPlan::paper(n, s)?.with_block(t)?,
+                };
                 let plan = plan.with_trailing(trailing);
                 let schedule = emit.then(|| lbc_schedule(&window, &plan));
                 (lbc_cost(n, &plan)?, schedule.transpose()?)

@@ -1,6 +1,7 @@
 //! Parameter planners: how the algorithms of the paper choose their block
 //! sizes from the fast-memory capacity `S` and the problem size.
 
+use crate::lbc::lbc_cost;
 use symla_baselines::error::{OocError, Result};
 use symla_baselines::params::square_tile_for_capacity;
 use symla_sched::indexing::largest_coprime_below;
@@ -148,10 +149,22 @@ impl TbsPlan {
         largest_coprime_below(n / kb, self.k)
     }
 
+    /// The tile-grid size `c` when the triangle-block phase engages for a
+    /// matrix of order `n` (Algorithm 4's test `c ≥ k − 1`), else `None`.
+    pub(crate) fn engaged_grid(&self, n: usize) -> Option<usize> {
+        let kb = self.k * self.b;
+        // `c ≤ n/(k·b)`, so a grid too small to engage is known before the
+        // coprime search runs.
+        if kb == 0 || n / kb + 1 < self.k {
+            return None;
+        }
+        self.grid_size(n).filter(|&c| c + 1 >= self.k)
+    }
+
     /// Whether the triangle-block phase is applicable for a matrix of order
     /// `n` (Algorithm 4's test `c ≥ k − 1`).
     pub fn applicable(&self, n: usize) -> bool {
-        self.grid_size(n).map(|c| c + 1 >= self.k).unwrap_or(false)
+        self.engaged_grid(n).is_some()
     }
 
     /// Smallest matrix order for which the triangle-block phase engages:
@@ -186,7 +199,9 @@ pub enum TrailingUpdate {
 /// Parameters of the Large Block Cholesky algorithm (Algorithm 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LbcPlan {
-    /// Panel width `b` (the paper chooses `b = √N`).
+    /// Panel width `b`: [`for_problem`](Self::for_problem) picks the one
+    /// the exact cost model prefers, [`paper`](Self::paper) the paper's
+    /// `⌈√N⌉`. At `b = N` LBC is one OOC_CHOL of the whole matrix.
     pub block: usize,
     /// Fast-memory capacity.
     pub capacity: usize,
@@ -195,8 +210,15 @@ pub struct LbcPlan {
 }
 
 impl LbcPlan {
-    /// The paper's choice: `b = ⌈√N⌉`, element-level TBS trailing updates.
-    pub fn for_problem(n: usize, s: usize) -> Result<Self> {
+    /// Version of [`for_problem`](Self::for_problem)'s choice. It is part of
+    /// the key of every served LBC plan, so a plan cached under an earlier
+    /// planner (version 1 chose `b = ⌈√N⌉`) is compiled anew.
+    pub const PLANNER_VERSION: u64 = 2;
+
+    /// The paper's choice (Theorem 5.7): `b = ⌈√N⌉`, element-level TBS
+    /// trailing updates. It is optimal as `N/S` grows; at a given size
+    /// [`for_problem`](Self::for_problem) may move less data.
+    pub fn paper(n: usize, s: usize) -> Result<Self> {
         // validate that the one-tile baselines can run at all
         square_tile_for_capacity(s)?;
         let block = (n as f64).sqrt().ceil().max(1.0) as usize;
@@ -204,6 +226,29 @@ impl LbcPlan {
             block,
             capacity: s,
             trailing: TrailingUpdate::Tbs,
+        })
+    }
+
+    /// The panel width `b ∈ [1, N]` whose exact cost ([`lbc_cost`]) loads the
+    /// fewest elements with element-level TBS trailing updates; ties go to
+    /// fewer stores, then to the smaller `b`.
+    ///
+    /// The scan includes `b = N`, where LBC is OOC_CHOL of the whole matrix,
+    /// so the plan never loads more than Béreux's algorithm. That single
+    /// panel wins when the matrix is small against the memory (for every
+    /// `N < 2·S` and often up to `N ≈ 2.5·S`, in a sweep of `S` from 10 to
+    /// 500): the trailing TBS then cannot engage, and every extra panel
+    /// only re-reads the trailing matrix.
+    pub fn for_problem(n: usize, s: usize) -> Result<Self> {
+        let paper = Self::paper(n, s)?;
+        let mut best = (u128::MAX, u128::MAX, paper.block);
+        for block in 1..=n.max(1) {
+            let cost = lbc_cost(n, &Self { block, ..paper })?;
+            best = best.min((cost.loads, cost.stores, block));
+        }
+        Ok(Self {
+            block: best.2,
+            ..paper
         })
     }
 
@@ -275,6 +320,19 @@ mod tests {
     }
 
     #[test]
+    fn engaged_grid_shortcut_agrees_with_the_coprime_search() {
+        for k in 2..=12 {
+            for b in 1..=4 {
+                let plan = TbsPlan::with_params(k, b).unwrap();
+                for n in 0..=400 {
+                    let searched = plan.grid_size(n).filter(|&c| c + 1 >= k);
+                    assert_eq!(plan.engaged_grid(n), searched, "k={k} b={b} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tiled_plan_tile_is_maximal() {
         for &(k, s) in &[(2_usize, 100_usize), (3, 500), (4, 1000), (6, 10_000)] {
             let b = TbsPlan::max_tile_for(k, s).unwrap();
@@ -308,8 +366,47 @@ mod tests {
     }
 
     #[test]
+    fn lbc_planner_is_the_exact_argmin() {
+        use crate::lbc::lbc_schedule;
+        use symla_baselines::params::IoEstimate;
+        use symla_memory::{MatrixId, SymWindowRef};
+        use symla_sched::Engine;
+
+        let (mut cases, mut single_panel) = (0, 0);
+        for s in [3, 10, 24, 48, 64, 120] {
+            for n in [1, 2, 5, 12, 29, 36, 60, 97] {
+                let plan = LbcPlan::for_problem(n, s).unwrap();
+                let cost = lbc_cost(n, &plan).unwrap();
+                let ctx = format!("n={n} s={s} b={}", plan.block);
+                for block in 1..=n {
+                    let other = lbc_cost(n, &plan.with_block(block).unwrap()).unwrap();
+                    let (got, alt) = ((cost.loads, cost.stores), (other.loads, other.stores));
+                    assert!(
+                        got < alt || (got == alt && plan.block <= block),
+                        "{ctx}: b={block}"
+                    );
+                }
+                let paper = lbc_cost(n, &LbcPlan::paper(n, s).unwrap()).unwrap();
+                assert!(cost.loads <= paper.loads, "{ctx}");
+
+                let window = SymWindowRef::full(MatrixId::synthetic(0), n);
+                let schedule = lbc_schedule::<f64>(&window, &plan).unwrap();
+                let dry = IoEstimate::from_stats(&Engine::dry_run(&schedule, "main"));
+                assert_eq!(dry, cost, "{ctx}");
+                cases += 1;
+                single_panel += usize::from(plan.block == n);
+            }
+        }
+        // Both regimes occur: one panel, and panels with trailing updates.
+        assert!(
+            0 < single_panel && single_panel < cases,
+            "{single_panel}/{cases}"
+        );
+    }
+
+    #[test]
     fn lbc_plan_defaults() {
-        let p = LbcPlan::for_problem(1024, 500).unwrap();
+        let p = LbcPlan::paper(1024, 500).unwrap();
         assert_eq!(p.block, 32);
         assert_eq!(p.trailing, TrailingUpdate::Tbs);
         assert_eq!(p.iterations(1024), 32);

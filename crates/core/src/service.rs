@@ -52,6 +52,7 @@ use crate::api::{
     cholesky_out_of_core_with, compile, syrk_out_of_core_with, CholeskyAlgorithm, Job, Run,
     RunOptions, SyrkAlgorithm,
 };
+use crate::plan::LbcPlan;
 use symla_baselines::error::Result;
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
 use symla_obs::{EventKind, RunReport};
@@ -109,8 +110,9 @@ impl<T: Scalar> PlanService<T> {
     }
 
     /// The plan key of `job` under `options`. A plan is keyed by the
-    /// kernel, its dimensions, `S` and the parameters that reach the IR,
-    /// plus either the pipeline and lookahead or — for a tuned run, whose
+    /// kernel, its dimensions, `S` and the parameters that reach the IR
+    /// (for the LBC variants, [`LbcPlan::PLANNER_VERSION`]), plus either
+    /// the pipeline and lookahead or — for a tuned run, whose
     /// pipeline, tile and lookahead are *outputs* of the search — the
     /// fingerprints of the searched space and of the model it was scored
     /// against (tuning for a different machine must miss). The worker
@@ -132,7 +134,13 @@ impl<T: Scalar> PlanService<T> {
                 vec![alpha.to_f64().to_bits()],
             ),
             Job::Cholesky { algorithm, n, .. } => {
-                (format!("cholesky/{}", algorithm.name()), n, n, vec![])
+                // LBC's panel width comes from its planner, so a plan cached
+                // under another planner version must miss.
+                let params = match algorithm {
+                    CholeskyAlgorithm::Bereux => vec![],
+                    _ => vec![LbcPlan::PLANNER_VERSION],
+                };
+                (format!("cholesky/{}", algorithm.name()), n, n, params)
             }
             Job::Gemm { n, m, p, alpha, .. } => {
                 let params = vec![p as u64, alpha.to_f64().to_bits()];
@@ -261,10 +269,12 @@ mod tests {
             n: 768,
             s: 300,
         };
+        // The LBC key carries `LbcPlan::PLANNER_VERSION`, so a plan cached
+        // under the b = ⌈√N⌉ planner (version 1) misses.
         let options = RunOptions::new().pipeline(none).lookahead(0);
         assert_eq!(
             PlanService::<f64>::key(&cholesky, &options).content_hash(),
-            0x13bea7792751d78a
+            0x77dae55f54e730c9
         );
 
         let gemm = Job::Gemm {
@@ -290,7 +300,8 @@ mod tests {
     /// A cached plan must not change under its pinned key, so the TBS
     /// family's schedules are pinned byte for byte: element TBS engaged and
     /// in its fallback, tiled TBS at the pass-gate and benchmark instances,
-    /// and LBC with TBS and square-block trailing updates.
+    /// and LBC at the paper's panel width with TBS and square-block
+    /// trailing updates and at the planner's.
     #[test]
     fn tbs_family_schedule_hashes_are_pinned() {
         use crate::{lbc_schedule, tbs_schedule, LbcPlan, TbsPlan, TrailingUpdate};
@@ -329,17 +340,24 @@ mod tests {
             assert_eq!((plan.k, plan.b), kb);
             assert_eq!(syrk(n, m, 1.0, &plan), (hash, steps), "n={n}");
         }
+        let paper = LbcPlan::paper(768, 300).unwrap();
+        let planned = LbcPlan::for_problem(768, 300).unwrap();
+        assert_eq!((paper.block, planned.block), (28, 208));
         let lbc = [
-            (TrailingUpdate::Tbs, 0xc25fe868a18458be, 1_330_740),
-            (TrailingUpdate::OocSyrk, 0x1c8a582ba0de8be4, 1_602_476),
+            (paper, TrailingUpdate::Tbs, 0xc25fe868a18458be, 1_330_740),
+            (
+                paper,
+                TrailingUpdate::OocSyrk,
+                0x1c8a582ba0de8be4,
+                1_602_476,
+            ),
+            (planned, TrailingUpdate::Tbs, 0x3b7af1046051e26e, 1_297_837),
         ];
-        for (trailing, hash, steps) in lbc {
-            let plan = LbcPlan::for_problem(768, 300)
-                .unwrap()
-                .with_trailing(trailing);
+        for (plan, trailing, hash, steps) in lbc {
+            let plan = plan.with_trailing(trailing);
             let schedule = lbc_schedule::<f64>(&SymWindowRef::full(a, 768), &plan).unwrap();
             let got = (schedule.content_hash(), schedule.num_steps());
-            assert_eq!(got, (hash, steps), "{trailing:?}");
+            assert_eq!(got, (hash, steps), "{plan:?}");
         }
     }
 

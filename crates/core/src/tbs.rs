@@ -29,7 +29,7 @@ use crate::plan::TbsPlan;
 use symla_baselines::error::{OocError, Result};
 use symla_baselines::params::{tile_extents, IoEstimate};
 use symla_baselines::{
-    ooc_syrk_build, ooc_syrk_cost, ooc_syrk_rect_build, ooc_syrk_rect_cost, OocSyrkPlan,
+    ooc_syrk_build, ooc_syrk_cost, ooc_syrk_rect_build, ooc_syrk_rects_cost, OocSyrkPlan,
 };
 use symla_matrix::kernels::FlopCount;
 use symla_matrix::Scalar;
@@ -59,7 +59,7 @@ pub struct TbsDecomposition {
 /// Computes the top-level decomposition of a TBS call of order `n`.
 pub fn tbs_decomposition(n: usize, plan: &TbsPlan) -> TbsDecomposition {
     let (k, b) = (plan.k, plan.b);
-    let grid = plan.grid_size(n).filter(|&c| c + 1 >= k);
+    let grid = plan.engaged_grid(n);
     let covered = grid.map_or(0, |c| c * k * b);
     TbsDecomposition {
         k,
@@ -96,11 +96,7 @@ fn zone_cost(n: usize, m: usize, plan: &TbsPlan, sq: &OocSyrkPlan) -> IoEstimate
 
     // 1. leftover strip: rectangle part + trailing diagonal part
     if leftover > 0 {
-        for &(_, ic) in &tile_extents(leftover, sq.tile) {
-            for &(_, jc) in &tile_extents(covered, sq.tile) {
-                est = est.merge(&ooc_syrk_rect_cost(ic, jc, m));
-            }
-        }
+        est = est.merge(&ooc_syrk_rects_cost(leftover, covered, m, sq.tile));
         est = est.merge(&ooc_syrk_cost(leftover, m, sq));
     }
 
@@ -396,6 +392,29 @@ mod tests {
         assert_eq!(small.grid, None);
         assert_eq!(small.leftover, 12);
         assert_eq!(small.blocks, 0);
+    }
+
+    #[test]
+    fn cost_equals_dry_run_across_leftover_strips() {
+        // The closed-form strip below the triangle blocks, at the top level
+        // and inside the recursive zones, against the replayed schedule.
+        let [x, y] = [0, 1].map(symla_memory::MatrixId::synthetic);
+        let mut strips = 0;
+        for (k, b) in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 4), (4, 2)] {
+            let plan = TbsPlan::with_params(k, b).unwrap();
+            for n in (0..=90).step_by(7) {
+                for m in [1, 4] {
+                    let (a, c) = (PanelRef::dense(x, n, m), SymWindowRef::full(y, n));
+                    let schedule = tbs_schedule::<f64>(&a, &c, 1.0, &plan).unwrap();
+                    let dry = IoEstimate::from_stats(&Engine::dry_run(&schedule, "main"));
+                    let ctx = format!("k={k} b={b} n={n} m={m}");
+                    assert_eq!(tbs_cost(n, m, &plan).unwrap(), dry, "{ctx}");
+                    let d = tbs_decomposition(n, &plan);
+                    strips += usize::from(d.grid.is_some() && d.leftover > 0);
+                }
+            }
+        }
+        assert!(strips >= 20, "only {strips} engaged instances with a strip");
     }
 
     #[test]

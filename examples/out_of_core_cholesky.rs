@@ -1,5 +1,6 @@
 //! Out-of-core Cholesky factorization with LBC, with the per-phase traffic
-//! breakdown of Section 5.2.2 (the executable version of experiment E3).
+//! breakdown of Section 5.2.2 (the executable version of experiment E3, at
+//! the planner's panel width where E3 uses the paper's `b = ⌈√N⌉`).
 //!
 //! ```text
 //! cargo run --release --example out_of_core_cholesky

@@ -34,7 +34,7 @@ fn builder_schedules() -> Vec<(&'static str, Schedule<f64>)> {
         ),
         (
             "lbc",
-            lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+            lbc_schedule(&window, &LbcPlan::paper(n, s).unwrap()).unwrap(),
         ),
         (
             "ooc_chol",

@@ -101,7 +101,7 @@ fn direct_machine_usage_and_phase_attribution() {
     let n = 60;
     let s = 15; // k = 5
     let a = generate::random_spd_seeded::<f64>(n, 44);
-    let plan = LbcPlan::for_problem(n, s).unwrap();
+    let plan = LbcPlan::paper(n, s).unwrap();
 
     let mut machine = OocMachine::<f64>::with_capacity(s);
     let id = machine.insert_symmetric(a.clone());

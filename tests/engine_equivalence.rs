@@ -91,7 +91,7 @@ fn factorization_schedules_dry_run_matches_analytic_costs() {
         let dry = IoEstimate::from_stats(&Engine::dry_run(&schedule, "main"));
         assert_eq!(dry, ooc_chol_cost(n, &chol_plan), "{ctx}: OOC_CHOL");
 
-        let lbc_plan = LbcPlan::for_problem(n, s).unwrap();
+        let lbc_plan = LbcPlan::paper(n, s).unwrap();
         let schedule = lbc_schedule::<f64>(&window, &lbc_plan).unwrap();
         let dry = IoEstimate::from_stats(&Engine::dry_run(&schedule, "main"));
         assert_eq!(dry, lbc_cost(n, &lbc_plan).unwrap(), "{ctx}: LBC");
@@ -128,7 +128,7 @@ fn lbc_phase_attribution_survives_dry_run() {
     for case in 0..6 {
         let n = rng.gen_range(12usize..48);
         let s = rng.gen_range(10usize..64);
-        let plan = LbcPlan::for_problem(n, s).unwrap();
+        let plan = LbcPlan::paper(n, s).unwrap();
         let window = SymWindowRef::full(MatrixId::synthetic(0), n);
         let schedule = lbc_schedule::<f64>(&window, &plan).unwrap();
         let dry = Engine::dry_run(&schedule, "main");
@@ -198,7 +198,7 @@ fn lbc_execute_equals_dry_run_trace_and_reference() {
         let ctx = format!("case {case}: n={n} s={s} seed={seed}");
 
         let a = generate::random_spd_seeded::<f64>(n, seed);
-        let plan = LbcPlan::for_problem(n, s).unwrap();
+        let plan = LbcPlan::paper(n, s).unwrap();
         let window = SymWindowRef::full(MatrixId::synthetic(0), n);
         let schedule = lbc_schedule::<f64>(&window, &plan).unwrap();
 

@@ -74,7 +74,7 @@ fn instances() -> Vec<Instance> {
         ),
         instance(
             "lbc",
-            lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+            lbc_schedule(&window, &LbcPlan::paper(n, s).unwrap()).unwrap(),
             factor(),
             s,
         ),

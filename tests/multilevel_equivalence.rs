@@ -148,7 +148,7 @@ fn builder_cases() -> Vec<Case> {
             memory: 48,
             schedule: lbc_schedule(
                 &SymWindowRef::full(MatrixId::synthetic(0), 36),
-                &LbcPlan::for_problem(36, 48).unwrap(),
+                &LbcPlan::paper(36, 48).unwrap(),
             )
             .unwrap(),
             mats: vec![Mat::Sym(random_spd_seeded(36, 9109))],

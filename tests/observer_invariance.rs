@@ -105,7 +105,7 @@ fn sweep_cases() -> Vec<Case> {
     });
     cases.push(Case {
         name: "LBC",
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(fn_, fs).unwrap()).unwrap(),
+        schedule: lbc_schedule(&window, &LbcPlan::paper(fn_, fs).unwrap()).unwrap(),
         capacity: fs,
         operands: vec![Operand::Sym(spd)],
     });

@@ -125,7 +125,7 @@ fn all_cases() -> Vec<Case> {
     let window = SymWindowRef::full(MatrixId::synthetic(0), n);
     cases.push(Case {
         name: "lbc",
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+        schedule: lbc_schedule(&window, &LbcPlan::paper(n, s).unwrap()).unwrap(),
         mats: vec![Mat::Sym(spd.clone())],
     });
     let (n, s) = (24, 35);

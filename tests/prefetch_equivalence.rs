@@ -156,7 +156,7 @@ fn sweep_cases(rng: &mut SeededRng) -> Vec<Case> {
     });
     cases.push(Case {
         name: "LBC".into(),
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(fn_, fs).unwrap()).unwrap(),
+        schedule: lbc_schedule(&window, &LbcPlan::paper(fn_, fs).unwrap()).unwrap(),
         capacity: fs,
         operands: vec![Operand::Sym(spd)],
         parallel_ok: false,

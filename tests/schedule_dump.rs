@@ -130,7 +130,7 @@ fn parse_round_trips_every_builder() {
         ),
         (
             "lbc",
-            lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
+            lbc_schedule(&window, &LbcPlan::paper(n, s).unwrap()).unwrap(),
         ),
         (
             "ooc_chol",

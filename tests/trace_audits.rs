@@ -230,7 +230,7 @@ fn tbs_tiled_trace_audit_seed_and_optimized() {
 fn lbc_trace_audit_seed_and_optimized() {
     let (n, s) = (72, 100);
     let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    let seed = lbc_schedule::<f64>(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap();
+    let seed = lbc_schedule::<f64>(&window, &LbcPlan::paper(n, s).unwrap()).unwrap();
     for (name, schedule) in seed_and_optimized("lbc", seed) {
         audit_cholesky(&name, &schedule, n, s);
     }
@@ -259,6 +259,6 @@ fn traced_totals_dominate_closed_form_bounds() {
 
     let (n, s) = (72, 100);
     let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    let schedule = lbc_schedule::<f64>(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap();
+    let schedule = lbc_schedule::<f64>(&window, &LbcPlan::paper(n, s).unwrap()).unwrap();
     assert!(traced_total(&schedule) >= bounds::cholesky_lower_bound(n as f64, s as f64));
 }
